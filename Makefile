@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-service chaos bench bench-smoke bench-solver bench-trace bench-dump bench-platforms bench-service bench-service-resilience bench-chaos lint docs-check ci all
+.PHONY: test test-service chaos bench bench-smoke bench-e2e perfbench-selftest bench-trace bench-dump bench-platforms bench-service bench-service-resilience bench-chaos lint docs-check ci all
 
 all: test docs-check
 
@@ -28,12 +28,19 @@ chaos:
 bench:
 	$(PYTHON) -m pytest benchmarks -q -o python_files='bench_*.py'
 
-# Full-size run of the AMR solver hot-path bench (plan-cached vs seed
-# loops, plus the fused shape-group advance vs the per-fab Godunov
-# loop); asserts the >=3x steps/sec and >=2x fused-advance floors and
-# writes BENCH_solver.json.
-bench-solver:
-	$(PYTHON) -m pytest benchmarks/bench_solver_hotpath.py -q -o python_files='bench_*.py'
+# The end-to-end benchmark declared in BENCHMARK.json: each of the four
+# user-facing runs (solver engine, campaign sweep, repro-model path,
+# serving replay) for 20 s; the last stdout line of each run is its
+# JSON result with the end-to-end metrics.
+bench-e2e:
+	for w in solver_sedov sweep_table3 model_longrun serve_mixed; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
+
+# Toy-size self-test of the end-to-end benchmark harness (~30 s): every
+# workload plain and traced, checked against its output contract.
+perfbench-selftest:
+	python3 perfbench/selftest.py
 
 # Full-size run of the trace substrate bench (columnar vs event-list
 # aggregations at 10^6 records, per-record append parity, and the
@@ -89,5 +96,5 @@ lint:
 docs-check:
 	$(PYTHON) tools/docs_check.py README.md docs/ARCHITECTURE.md docs/CAMPAIGN.md docs/PLATFORMS.md docs/SERVICE.md docs/LINT.md docs/RESILIENCE.md
 
-# The one-stop regression gate: tests + lint + docs + bench harness.
-ci: test lint docs-check bench-smoke
+# The one-stop regression gate: tests + lint + docs + bench harnesses.
+ci: test lint docs-check bench-smoke perfbench-selftest

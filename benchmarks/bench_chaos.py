@@ -210,7 +210,6 @@ def test_resilience(once, emit, bench_json, tmp_path, smoke, monkeypatch):
 
     payload = {
         "n_cases": n,
-        "smoke": smoke,
         "overhead": {
             "plain_loop_s": round(t_plain, 4),
             "supervised_s": round(t_supervised, 4),

@@ -369,7 +369,6 @@ def test_dump_pipeline_vs_seed(once, emit, bench_json, smoke):
     inspect_row = _bench_inspect(new_fs, smoke)
 
     payload = {
-        "smoke": smoke,
         "size_mode": size_row,
         "data_mode": data_row,
         "inspect": inspect_row,

@@ -15,8 +15,8 @@ from repro.campaign.runner import run_case
 from repro.iosim.darshan import IOTrace
 from repro.iosim.filesystem import VirtualFileSystem
 from repro.iosim.readmodel import optimal_check_interval, restart_read_time
-from repro.iosim.storage import StorageModel
 from repro.parallel.topology import JobTopology
+from repro.platform import get_platform
 from repro.plotfile.checkpoint import CheckpointSpec, write_checkpoint
 from repro.workload.generator import SedovWorkloadGenerator
 
@@ -41,7 +41,7 @@ def test_ext_checkpoint_restart_cycle(once, emit):
         return result, fs, trace
 
     result, fs, trace = once(pipeline)
-    storage = StorageModel.summit_alpine(variability=0.0)
+    storage = get_platform("summit").storage_model(variability=0.0)
     topo = JobTopology(case.nprocs, case.nnodes)
     step = result.steps_taken
     per_rank = [0] * case.nprocs

@@ -345,7 +345,6 @@ def test_trace_columnar_vs_legacy(once, emit, bench_json, smoke):
 
     payload = {
         "sizes": list(sizes),
-        "smoke": smoke,
         "speedup_floor": SPEEDUP_FLOOR,
         "append_parity_floor": APPEND_PARITY_FLOOR,
         "rows": rows,

@@ -46,11 +46,15 @@ def bench_json(smoke):
     The single place that knows smoke runs are redirected to the
     ``_smoke`` path (see :func:`smoke_artifact_path`) — full-size
     artifacts under version control survive ``make bench-smoke``.
+    Every payload is stamped with ``"smoke"`` so that the full-size
+    checks in ``tools/bench_smoke.py`` can reject a smoke run checked
+    in as a full-size artifact.
     """
 
     def _write(path: str, payload) -> str:
         if smoke:
             path = smoke_artifact_path(path)
+        payload = {"smoke": smoke, **payload}
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)

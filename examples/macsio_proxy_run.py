@@ -14,10 +14,10 @@ import numpy as np
 
 from repro.analysis.report import format_series, format_table, human_bytes
 from repro.iosim.filesystem import VirtualFileSystem, format_tree
-from repro.iosim.storage import StorageModel
 from repro.macsio.dump import run_macsio
 from repro.macsio.params import MacsioParams, format_argv
 from repro.parallel.topology import JobTopology
+from repro.platform import get_platform
 
 
 def main() -> None:
@@ -53,7 +53,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # dynamic study: burst timeline on the Alpine-like storage model
     # ------------------------------------------------------------------
-    storage = StorageModel.summit_alpine(variability=0.15, seed=42)
+    storage = get_platform("summit").storage_model(variability=0.15, seed=42)
     topo = JobTopology(nprocs, nnodes=2)
     timed = run_macsio(params, nprocs, storage=storage, topology=topo)
     sched = timed.schedule

@@ -24,7 +24,7 @@ from .hilbert import hilbert_key, hilbert_map
 from .grid import GridParams, align_to_blocking_factor, chop_to_max_size, make_level_grids
 from .hierarchy import AmrHierarchy, AmrParams, LevelState
 from .interp import prolong_bilinear, prolong_constant, restrict_average
-from .multifab import Fab, MultiFab, regrid_multifab
+from .multifab import Fab, MultiFab
 from .tagging import TagCriteria, buffer_tags, tag_gradient, tagged_boxes_1cell
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "restrict_average",
     "Fab",
     "MultiFab",
-    "regrid_multifab",
     "TagCriteria",
     "buffer_tags",
     "tag_gradient",

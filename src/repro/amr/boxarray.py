@@ -34,9 +34,9 @@ class BoxArray:
         self._boxes: List[Box] = list(boxes)
         # Identity token: BoxArrays are immutable after construction, so
         # a per-instance generation number is a cheap cache key for
-        # layout-derived plans (ghost-exchange plans, distribution
-        # reuse).  Two arrays with equal boxes still get distinct
-        # tokens; equality of *content* is ``__eq__``.
+        # layout-derived plans (plotfile dump plans, regrid reuse).
+        # Two arrays with equal boxes still get distinct tokens;
+        # equality of *content* is ``__eq__``.
         self._token: int = next(_token_counter)
         self._corners: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._numpts: Optional[int] = None

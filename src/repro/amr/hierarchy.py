@@ -198,8 +198,8 @@ class AmrHierarchy:
             old = self.levels[lev + 1] if lev + 1 < len(self.levels) else None
             if old is not None and old.boxarray.same_boxes(ba):
                 # Layout unchanged: keep the level (and its distribution)
-                # — any MultiFab built on its BoxArray keeps a valid
-                # exchange plan, since the BoxArray token is unchanged.
+                # — the unchanged BoxArray token keeps the plotfile
+                # writer's cached dump plan for this level valid.
                 new_levels.append(old)
                 self.regrid_stats["levels_reused"] += 1
                 continue

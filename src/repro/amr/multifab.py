@@ -5,29 +5,19 @@ A :class:`MultiFab` stores one numpy array ("FAB") per box of a
 components and ghost cells.  Ownership follows a
 :class:`~repro.amr.distribution.DistributionMapping`, so per-rank byte
 accounting (the quantity the paper measures) falls out of the container.
-
-Ghost exchange is *plan-cached*: the first :meth:`MultiFab.fill_boundary`
-builds an exchange plan — the list of ``(src_fab, dst_fab, overlap)``
-slice tuples — keyed by the BoxArray's identity token, and every later
-call replays it as one all-component fancy-slice assignment per pair.
-The O(N²) pairwise box intersection scan is paid once per layout, not
-once per step per component (the seed behaviour).  The plan invalidates
-automatically when ``boxarray`` is swapped (regrid) and can be dropped
-explicitly with :meth:`MultiFab.invalidate_exchange_plan`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
-from .. import sanitize
 from .box import Box
 from .boxarray import BoxArray
 from .distribution import DistributionMapping
 
-__all__ = ["Fab", "MultiFab", "regrid_multifab"]
+__all__ = ["Fab", "MultiFab"]
 
 
 class Fab:
@@ -92,10 +82,6 @@ class MultiFab:
         self.ncomp = int(ncomp)
         self.nghost = int(nghost)
         self.fabs: List[Fab] = [Fab(b, ncomp, nghost, dtype) for b in ba]
-        self._exchange_plan: Optional[List[Tuple[int, int, tuple, tuple]]] = None
-        self._exchange_key: Optional[Tuple[int, int]] = None
-        self._exchange_bounds: Optional[np.ndarray] = None
-        self._exchange_crc: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.fabs)
@@ -140,123 +126,6 @@ class MultiFab:
         return sum(float(fab.interior(comp).sum()) for fab in self.fabs)
 
     # ------------------------------------------------------------------
-    # layout queries
-    # ------------------------------------------------------------------
-    def shape_groups(self) -> Tuple[np.ndarray, ...]:
-        """Fab indices grouped by identical valid ``(nx, ny)`` shape.
-
-        The substrate of the fused hydro kernels
-        (:class:`repro.hydro.fused.FusedLevelPlan`): after ``chop`` most
-        fabs of a level share one shape, so grouped fabs can be stacked
-        into a single ``(ncomp, nfabs, ...)`` array and run through one
-        kernel chain.  Groups are ordered by shape (``np.unique`` row
-        order) with indices ascending inside each group — a pure
-        function of the layout, so results for one ``boxarray`` never
-        change.  The returned int64 index arrays are frozen.
-        """
-        los, his = self.boxarray.corners()
-        shapes = his - los + 1
-        if len(shapes) == 0:
-            return ()
-        uniq, inverse = np.unique(shapes, axis=0, return_inverse=True)
-        return tuple(
-            sanitize.frozen(np.nonzero(inverse == g)[0].astype(np.int64))
-            for g in range(len(uniq))
-        )
-
-    # ------------------------------------------------------------------
-    # ghost exchange
-    # ------------------------------------------------------------------
-    def _build_exchange_plan(self) -> List[Tuple[int, int, tuple, tuple]]:
-        """One pairwise scan over the layout; the replayable result.
-
-        Each entry ``(src, dst, src_index, dst_index)`` copies every
-        component of the overlap in a single slice assignment:
-        ``fabs[dst].data[dst_index] = fabs[src].data[src_index]``.
-        Overlaps only ever cover *ghost* cells of ``dst`` (member boxes
-        are disjoint), so replay order cannot matter.
-        """
-        plan: List[Tuple[int, int, tuple, tuple]] = []
-        if len(self.fabs) < 2:
-            return plan
-        g = self.nghost
-        lo, hi = _corner_arrays(self.boxarray)
-        glo = lo - g  # grown-box corners (also each fab's data origin)
-        ghi = hi + g
-        all_comps = (slice(None),)
-        for di, si, o_lo, o_hi in _pairwise_overlaps(
-            glo, ghi, lo, hi, skip_diagonal=True
-        ):
-            dst_sl = all_comps + _overlap_slices(o_lo, o_hi, glo[di])
-            src_sl = all_comps + _overlap_slices(o_lo, o_hi, glo[si])
-            plan.append((si, di, src_sl, dst_sl))
-        return plan
-
-    def exchange_plan(self) -> List[Tuple[int, int, tuple, tuple]]:
-        """The cached ghost-exchange plan, (re)built if stale.
-
-        The cache key is ``(boxarray.token, nghost)`` — swapping in a
-        new BoxArray (what a regrid does) invalidates the plan without
-        any explicit bookkeeping by the caller.
-        """
-        key = (self.boxarray.token, self.nghost)
-        if self._exchange_plan is None or self._exchange_key != key:
-            self._exchange_plan = self._build_exchange_plan()
-            self._exchange_key = key
-            self._exchange_bounds = _plan_bounds(self._exchange_plan)
-            self._exchange_crc = (
-                sanitize.checksum(self._exchange_plan)
-                if sanitize.enabled() else None
-            )
-        return self._exchange_plan
-
-    def exchange_bounds(self) -> np.ndarray:
-        """Read-only ``(npairs, 10)`` int64 columnar view of the plan.
-
-        Columns: ``src, dst, src x0, x1, y0, y1, dst x0, x1, y0, y1``
-        (stop-exclusive, grown-box local).  Frozen at build so analysis
-        consumers cannot corrupt the cached plan through it.
-        """
-        self.exchange_plan()
-        assert self._exchange_bounds is not None
-        return self._exchange_bounds
-
-    def invalidate_exchange_plan(self) -> None:
-        """Drop the cached plan (next ``fill_boundary`` rebuilds it)."""
-        self._exchange_plan = None
-        self._exchange_key = None
-        self._exchange_bounds = None
-        self._exchange_crc = None
-
-    def fill_boundary(self) -> None:
-        """Copy valid data into overlapping ghost regions of sibling fabs.
-
-        Replays the cached exchange plan: one fancy-slice assignment
-        per overlapping fab pair, all components at once.  Bit-identical
-        to the seed's per-destination, per-component intersection loop.
-        Under ``REPRO_SANITIZE=1`` the plan is checksummed before replay
-        and any drift since the build raises
-        :class:`~repro.sanitize.SanitizeError`.
-        """
-        if self.nghost == 0:
-            return
-        plan = self.exchange_plan()
-        if sanitize.enabled():
-            crc = sanitize.checksum(plan)
-            if self._exchange_crc is None:
-                self._exchange_crc = crc
-            else:
-                sanitize.check(
-                    crc == self._exchange_crc,
-                    "ghost-exchange plan drifted since it was built "
-                    f"(key={self._exchange_key}); a consumer mutated the "
-                    "cached plan list",
-                )
-        fabs = self.fabs
-        for si, di, src_sl, dst_sl in plan:
-            fabs[di].data[dst_sl] = fabs[si].data[src_sl]
-
-    # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
     def bytes_per_rank(self) -> np.ndarray:
@@ -271,93 +140,3 @@ class MultiFab:
 
     def total_bytes(self) -> int:
         return int(sum(fab.nbytes_valid() for fab in self.fabs))
-
-
-def regrid_multifab(
-    old: MultiFab, ba: BoxArray, dm: DistributionMapping
-) -> MultiFab:
-    """Rebuild level data onto a new layout, moving instead of remaking.
-
-    * Unchanged layout (same boxes and ownership): the *old* MultiFab is
-      returned as-is — fab arrays and the cached exchange plan survive.
-    * Changed layout: a fresh MultiFab is allocated and every valid-region
-      overlap with the old layout (found with the same vectorized
-      pairwise scan the exchange-plan build uses) is copied across in
-      one all-component slice assignment per pair.  Cells with no
-      old-data coverage stay zero for the caller to fill (prolongation
-      from the coarse level), so a regrid only re-interpolates the
-      genuinely new cells.
-    """
-    if (
-        old.boxarray.same_boxes(ba)
-        and old.distribution.nprocs == dm.nprocs
-        and tuple(old.distribution.ranks) == tuple(dm.ranks)
-    ):
-        return old
-    dtype = old.fabs[0].data.dtype if old.fabs else np.float64
-    new = MultiFab(ba, dm, old.ncomp, old.nghost, dtype)
-    if not new.fabs or not old.fabs:
-        return new
-    g = old.nghost
-    new_lo, new_hi = _corner_arrays(ba)
-    old_lo, old_hi = _corner_arrays(old.boxarray)
-    all_comps = (slice(None),)
-    for di, si, o_lo, o_hi in _pairwise_overlaps(
-        new_lo, new_hi, old_lo, old_hi, skip_diagonal=False
-    ):
-        dst_sl = all_comps + _overlap_slices(o_lo, o_hi, new_lo[di] - g)
-        src_sl = all_comps + _overlap_slices(o_lo, o_hi, old_lo[si] - g)
-        new.fabs[di].data[dst_sl] = old.fabs[si].data[src_sl]
-    return new
-
-
-def _plan_bounds(plan: List[Tuple[int, int, tuple, tuple]]) -> np.ndarray:
-    """Frozen columnar form of an exchange plan (see ``exchange_bounds``)."""
-    rows = np.empty((len(plan), 10), dtype=np.int64)
-    for k, (si, di, src_sl, dst_sl) in enumerate(plan):
-        rows[k, 0] = si
-        rows[k, 1] = di
-        rows[k, 2:6] = (src_sl[1].start, src_sl[1].stop,
-                        src_sl[2].start, src_sl[2].stop)
-        rows[k, 6:10] = (dst_sl[1].start, dst_sl[1].stop,
-                         dst_sl[2].start, dst_sl[2].stop)
-    return sanitize.frozen(rows)
-
-
-def _corner_arrays(ba: BoxArray) -> Tuple[np.ndarray, np.ndarray]:
-    """(n, 2) int64 arrays of the member boxes' lo and hi corners."""
-    lo = np.array([b.lo for b in ba], dtype=np.int64).reshape(len(ba), 2)
-    hi = np.array([b.hi for b in ba], dtype=np.int64).reshape(len(ba), 2)
-    return lo, hi
-
-
-def _pairwise_overlaps(dlo, dhi, slo, shi, skip_diagonal):
-    """All ``(dst, src, overlap_lo, overlap_hi)`` between two box lists.
-
-    One vectorized max/min pass over stacked corners per dst block —
-    the O(N²) scan costs NumPy array ops, not Python ``Box`` calls.
-    Blocks bound the ``(block, n_src, 2)`` temporaries.
-    """
-    out = []
-    n_dst, n_src = len(dlo), len(slo)
-    block = max(1, (1 << 21) // max(n_src, 1))
-    for d0 in range(0, n_dst, block):
-        d1 = min(d0 + block, n_dst)
-        olo = np.maximum(dlo[d0:d1, None, :], slo[None, :, :])
-        ohi = np.minimum(dhi[d0:d1, None, :], shi[None, :, :])
-        valid = (olo <= ohi).all(axis=2)
-        if skip_diagonal:
-            idx = np.arange(d0, min(d1, n_src))
-            valid[idx - d0, idx] = False
-        dsts, srcs = np.nonzero(valid)
-        for db, si in zip(dsts.tolist(), srcs.tolist()):
-            out.append((d0 + db, si, olo[db, si], ohi[db, si]))
-    return out
-
-
-def _overlap_slices(o_lo, o_hi, origin) -> Tuple[slice, slice]:
-    """Slices of overlap ``[o_lo, o_hi]`` into an array starting at ``origin``."""
-    return (
-        slice(int(o_lo[0] - origin[0]), int(o_hi[0] - origin[0]) + 1),
-        slice(int(o_lo[1] - origin[1]), int(o_hi[1] - origin[1]) + 1),
-    )

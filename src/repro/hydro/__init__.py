@@ -8,18 +8,15 @@ its Sedov–Taylor self-similar analytic solution.
 
 from .boundary import BC, apply_boundary
 from .eos import GammaLawEOS
-from .flux import NGHOST_REQUIRED, advance_patch, advance_stacked
-from .fused import FusedLevelPlan
+from .flux import NGHOST_REQUIRED, advance_patch
 from .reconstruction import LIMITERS, interface_states, limited_slopes, mc_limiter, minmod, superbee
 from .riemann import RIEMANN_SOLVERS, euler_flux, hll_flux, hllc_flux, wave_speed_estimates
 from .sedov import (
     SEDOV_XI0_2D,
     SedovProblem,
-    initialize_multifab,
     sedov_taylor_radius,
     sedov_taylor_shock_speed,
 )
-from .solver import HydroOptions, LevelSolver
 from .state import (
     NCOMP,
     QP,
@@ -42,8 +39,6 @@ __all__ = [
     "GammaLawEOS",
     "NGHOST_REQUIRED",
     "advance_patch",
-    "advance_stacked",
-    "FusedLevelPlan",
     "LIMITERS",
     "interface_states",
     "limited_slopes",
@@ -57,11 +52,8 @@ __all__ = [
     "wave_speed_estimates",
     "SEDOV_XI0_2D",
     "SedovProblem",
-    "initialize_multifab",
     "sedov_taylor_radius",
     "sedov_taylor_shock_speed",
-    "HydroOptions",
-    "LevelSolver",
     "NCOMP",
     "QP",
     "QRHO",

@@ -5,18 +5,9 @@ finite-volume update ``U += dt * (div F)`` using limited reconstruction
 and an approximate Riemann solver.  This is the compute kernel of the
 Castro-like solver; everything is vectorized over the patch.
 
-The kernel chain is written once over the *trailing* two grid axes
-(ellipsis indexing + axis-generic reconstruction), so the same code
-serves a single ghosted patch ``(4, nx+2g, ny+2g)`` and a fused stack
-of same-shape patches ``(4, nfabs, nx+2g, ny+2g)`` (see
-:mod:`repro.hydro.fused`).  Per cell the arithmetic is identical, so
-:func:`advance_stacked` is bit-identical to per-fab
-:func:`advance_patch` calls.
-
 y-fluxes are computed directly by passing the transposed component pair
-``(QV, QU)`` to the Riemann solver (see :mod:`repro.hydro.riemann`);
-the old ``_swap_uv``/``_swap_uv_flux`` rotation helpers and their two
-full-array copies per call are gone.
+``(QV, QU)`` to the Riemann solver (see :mod:`repro.hydro.riemann`)
+instead of rotating copies of the interface states.
 """
 
 from __future__ import annotations
@@ -28,57 +19,11 @@ from .reconstruction import interface_states
 from .riemann import RIEMANN_SOLVERS
 from .state import QU, QV, cons_to_prim
 
-__all__ = ["advance_patch", "advance_stacked", "NGHOST_REQUIRED"]
+__all__ = ["advance_patch", "NGHOST_REQUIRED"]
 
 # One layer for slopes + one for the interface states feeding the first
 # interior face.
 NGHOST_REQUIRED = 2
-
-
-def _advance_core(
-    U: np.ndarray,
-    dt: float,
-    dx: float,
-    dy: float,
-    eos: GammaLawEOS,
-    nghost: int,
-    riemann: str,
-    limiter: str,
-) -> np.ndarray:
-    """Shared Godunov update over the trailing two grid axes of ``U``."""
-    if nghost < NGHOST_REQUIRED:
-        raise ValueError(f"advance needs >= {NGHOST_REQUIRED} ghosts, got {nghost}")
-    try:
-        solver = RIEMANN_SOLVERS[riemann]
-    except KeyError:
-        raise ValueError(
-            f"unknown riemann solver {riemann!r}; choose from {sorted(RIEMANN_SOLVERS)}"
-        ) from None
-    g = nghost
-    X, Y = U.shape[-2], U.shape[-1]
-    nx = X - 2 * g
-    ny = Y - 2 * g
-    W = cons_to_prim(U, eos)
-
-    # --- x-fluxes ------------------------------------------------------
-    # Work on rows [g-1, -g+1) so slopes see one extra cell each side.
-    Wx = W[..., g - 2 : X - (g - 2), g : Y - g]
-    WLx, WRx = interface_states(Wx, axis=-2, limiter=limiter)
-    Fx = solver(WLx, WRx, eos)
-    # Interface k of Wx separates its cells k,k+1; the valid faces are
-    # those bounding valid cells: indices 1 .. nx+1 of Fx.
-    Fx_valid = Fx[..., 1 : nx + 2, :]  # nx+1 faces
-
-    # --- y-fluxes (solver reads the normal velocity from QV directly) --
-    Wy = W[..., g : X - g, g - 2 : Y - (g - 2)]
-    WLy, WRy = interface_states(Wy, axis=-1, limiter=limiter)
-    Gy = solver(WLy, WRy, eos, iu=QV, iv=QU)
-    Gy_valid = Gy[..., 1 : ny + 2]  # ny+1 faces
-
-    Uv = U[..., g : g + nx, g : g + ny]
-    Unew = Uv - dt / dx * (Fx_valid[..., 1:, :] - Fx_valid[..., :-1, :]) \
-              - dt / dy * (Gy_valid[..., 1:] - Gy_valid[..., :-1])
-    return Unew
 
 
 def advance_patch(
@@ -113,27 +58,36 @@ def advance_patch(
     """
     if U.ndim != 3:
         raise ValueError(f"advance_patch expects a (4, X, Y) patch, got shape {U.shape}")
-    return _advance_core(U, dt, dx, dy, eos, nghost, riemann, limiter)
+    if nghost < NGHOST_REQUIRED:
+        raise ValueError(f"advance needs >= {NGHOST_REQUIRED} ghosts, got {nghost}")
+    try:
+        solver = RIEMANN_SOLVERS[riemann]
+    except KeyError:
+        raise ValueError(
+            f"unknown riemann solver {riemann!r}; choose from {sorted(RIEMANN_SOLVERS)}"
+        ) from None
+    g = nghost
+    X, Y = U.shape[-2], U.shape[-1]
+    nx = X - 2 * g
+    ny = Y - 2 * g
+    W = cons_to_prim(U, eos)
 
+    # --- x-fluxes ------------------------------------------------------
+    # Work on rows [g-1, -g+1) so slopes see one extra cell each side.
+    Wx = W[..., g - 2 : X - (g - 2), g : Y - g]
+    WLx, WRx = interface_states(Wx, axis=-2, limiter=limiter)
+    Fx = solver(WLx, WRx, eos)
+    # Interface k of Wx separates its cells k,k+1; the valid faces are
+    # those bounding valid cells: indices 1 .. nx+1 of Fx.
+    Fx_valid = Fx[..., 1 : nx + 2, :]  # nx+1 faces
 
-def advance_stacked(
-    U: np.ndarray,
-    dt: float,
-    dx: float,
-    dy: float,
-    eos: GammaLawEOS,
-    nghost: int = NGHOST_REQUIRED,
-    riemann: str = "hllc",
-    limiter: str = "minmod",
-) -> np.ndarray:
-    """One Godunov step on a stack of same-shape ghosted patches.
+    # --- y-fluxes (solver reads the normal velocity from QV directly) --
+    Wy = W[..., g : X - g, g - 2 : Y - (g - 2)]
+    WLy, WRy = interface_states(Wy, axis=-1, limiter=limiter)
+    Gy = solver(WLy, WRy, eos, iu=QV, iv=QU)
+    Gy_valid = Gy[..., 1 : ny + 2]  # ny+1 faces
 
-    ``U`` has shape (4, nfabs, nx + 2g, ny + 2g) — a shape-group of
-    fabs gathered by :class:`repro.hydro.fused.FusedLevelPlan` — and the
-    whole kernel chain runs once for the stack.  Returns the updated
-    valid regions, shape (4, nfabs, nx, ny), bit-identical to per-fab
-    :func:`advance_patch` calls.
-    """
-    if U.ndim != 4:
-        raise ValueError(f"advance_stacked expects a (4, n, X, Y) stack, got shape {U.shape}")
-    return _advance_core(U, dt, dx, dy, eos, nghost, riemann, limiter)
+    Uv = U[..., g : g + nx, g : g + ny]
+    Unew = Uv - dt / dx * (Fx_valid[..., 1:, :] - Fx_valid[..., :-1, :]) \
+              - dt / dy * (Gy_valid[..., 1:] - Gy_valid[..., :-1])
+    return Unew

@@ -4,11 +4,6 @@ Castro's CTU/PPM machinery is approximated by a MUSCL–Hancock scheme:
 limited piecewise-linear slopes reconstruct left/right interface states.
 Three classic limiters are provided; minmod is the default for
 robustness at the Sedov shock.
-
-The stencils are expressed with axis-generic slicing so the same code
-serves the single-patch ``(4, nx, ny)`` layout and the fused multi-fab
-``(4, nfabs, nx, ny)`` stack (see :mod:`repro.hydro.fused`): per cell
-the arithmetic is identical, so results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -65,8 +60,8 @@ def limited_slopes(W: np.ndarray, axis: int, limiter: str = "minmod") -> np.ndar
 
     ``axis`` is any axis but the leading component axis (negative
     indices count from the end, so ``-2``/``-1`` are the x/y grid axes
-    of both single-patch and stacked layouts).  The outermost cells get
-    zero slope (they only feed ghost regions).
+    of a patch).  The outermost cells get zero slope (they only feed
+    ghost regions).
     """
     try:
         lim = LIMITERS[limiter]

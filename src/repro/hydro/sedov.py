@@ -15,7 +15,7 @@ provides
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class SedovProblem:
         Y: np.ndarray,
         eos: GammaLawEOS,
         cell_volume: float,
-        n_inside_global: Optional[int] = None,
     ) -> np.ndarray:
         """Conserved state array (4, nx, ny) at cell centers (X, Y).
 
@@ -89,11 +88,6 @@ class SedovProblem:
         the domain, handled by the volume accounting automatically: the
         deposited energy density is E / V_init with V_init the in-domain
         volume of the init region.
-
-        When initializing one *patch* of a decomposed domain, pass
-        ``n_inside_global`` (the domain-wide count of cells inside the
-        init circle) so normalization and the coarse-mesh fallback are
-        decided globally — see :func:`initialize_multifab`.
         """
         r2 = (X - self.center[0]) ** 2 + (Y - self.center[1]) ** 2
         inside = r2 <= self.r_init**2
@@ -103,55 +97,16 @@ class SedovProblem:
         U[UMY] = 0.0
         e_amb = eos.internal_energy(np.asarray(self.rho0), np.asarray(self.p0))
         U[UEDEN] = self.rho0 * float(e_amb)
-        n_local = int(np.count_nonzero(inside))
-        n_global = n_inside_global if n_inside_global is not None else n_local
-        if n_global == 0:
-            if n_inside_global is None:
-                # Single-patch fallback: all energy to the nearest cell.
-                k = int(np.argmin(r2))
-                idx = np.unravel_index(k, r2.shape)
-                U[UEDEN][idx] += self.exp_energy / cell_volume
-            # Decomposed fallback is handled by initialize_multifab.
-        elif n_local > 0:
-            v_init = n_global * cell_volume
+        n_inside = int(np.count_nonzero(inside))
+        if n_inside == 0:
+            k = int(np.argmin(r2))
+            idx = np.unravel_index(k, r2.shape)
+            U[UEDEN][idx] += self.exp_energy / cell_volume
+        else:
+            v_init = n_inside * cell_volume
             U[UEDEN][inside] += self.exp_energy / v_init
         return U
 
     def shock_radius(self, t: float, xi0: float = SEDOV_XI0_2D) -> float:
         """Analytic shock radius at time ``t``."""
         return float(sedov_taylor_radius(t, self.exp_energy, self.rho0, self.nu, xi0))
-
-
-def initialize_multifab(problem: "SedovProblem", mf, geom, eos: GammaLawEOS) -> None:
-    """Initialize a (possibly decomposed) level MultiFab consistently.
-
-    Counts the cells inside the init circle across *all* fabs first, so
-    the deposited energy density — and the coarse-mesh fallback — are
-    identical to a single-patch initialization regardless of the domain
-    decomposition.
-    """
-    vol = geom.cell_volume()
-    counts = []
-    r2min = []
-    # lint: allow-loop(initial-condition deposit, once per run; ragged shapes)
-    for fab in mf:
-        X, Y = geom.cell_centers(fab.box)
-        r2 = (X - problem.center[0]) ** 2 + (Y - problem.center[1]) ** 2
-        counts.append(int(np.count_nonzero(r2 <= problem.r_init**2)))
-        r2min.append(float(r2.min()))
-    n_global = sum(counts)
-    # lint: allow-loop(initial-condition fill, once per run; ragged shapes)
-    for k, fab in enumerate(mf):
-        X, Y = geom.cell_centers(fab.box)
-        fab.interior()[...] = problem.initialize(X, Y, eos, vol, n_inside_global=n_global)
-    if n_global == 0:
-        # Fallback: deposit everything in the globally nearest cell.
-        k = int(np.argmin(r2min))
-        fab = mf[k]
-        X, Y = geom.cell_centers(fab.box)
-        r2 = (X - problem.center[0]) ** 2 + (Y - problem.center[1]) ** 2
-        idx = np.unravel_index(int(np.argmin(r2)), r2.shape)
-        fab.interior()[(UEDEN,) + idx] += problem.exp_energy / vol
-
-
-__all__.append("initialize_multifab")

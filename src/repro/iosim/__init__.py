@@ -1,7 +1,6 @@
 """I/O substrate: filesystem backends, storage-model hierarchy, traces.
 
-Machine constants live in :mod:`repro.platform`; the deprecated
-``SUMMIT`` singleton stays importable from here as a shim.
+Machine constants live in :mod:`repro.platform`.
 """
 
 from .burst import BurstEvent, BurstSchedule
@@ -14,7 +13,6 @@ from .storage import (
     StorageModel,
     WriteCost,
 )
-from .summit import SUMMIT, SummitSystem
 
 __all__ = [
     "BurstEvent",
@@ -33,6 +31,4 @@ __all__ = [
     "RestartCost",
     "optimal_check_interval",
     "restart_read_time",
-    "SUMMIT",
-    "SummitSystem",
 ]

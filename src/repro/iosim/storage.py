@@ -222,17 +222,6 @@ class StorageModel:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def summit_alpine(variability: float = 0.15, seed: int = 12345) -> "StorageModel":
-        """Alpine-flavored defaults with realistic jitter."""
-        return StorageModel(
-            stream_bandwidth=1.5e9,
-            node_bandwidth=12.5e9,
-            metadata_latency=2.0e-3,
-            variability=variability,
-            seed=seed,
-        )
-
-    @staticmethod
     def ideal() -> "StorageModel":
         """Deterministic, latency-free model for unit tests."""
         return StorageModel(

@@ -2,11 +2,9 @@
 
 Four machines spanning the filesystem flavors the storage hierarchy
 models.  ``summit`` reproduces the repo's historical constants exactly
-(same numbers as the old ``repro.iosim.summit.SUMMIT`` singleton and
-``StorageModel.summit_alpine`` — pinned bit-for-bit by
-``tests/test_platform.py``); the others are representative published
-figures scaled to the per-node view the timing models consume, not
-benchmarked ground truth.
+(pinned bit-for-bit by ``tests/test_platform.py``); the others are
+representative published figures scaled to the per-node view the timing
+models consume, not benchmarked ground truth.
 """
 
 from __future__ import annotations

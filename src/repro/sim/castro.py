@@ -6,10 +6,11 @@ coarse steps from density-gradient tags, and write an N-to-N plotfile
 every ``plot_int`` coarse steps (plus step 0), recording every file into
 an I/O trace.
 
-Solver strategy (documented in DESIGN.md): the flow field is advanced on
-a dense uniform grid at the *finest* resolution (``n_cell * ref_ratio^
-max_level``) with proper fine-CFL substeps — ``ref_ratio^max_level``
-fine steps per coarse step, Castro's effective subcycling cadence.  The
+Solver strategy (docs/ARCHITECTURE.md, "The engine duality"): the flow
+field is advanced on a dense uniform grid at the *finest* resolution
+(``n_cell * ref_ratio^max_level``) with proper fine-CFL substeps —
+``ref_ratio^max_level`` fine steps per coarse step, Castro's effective
+subcycling cadence.  The
 AMR hierarchy (tagging -> clustering -> grids -> distribution) is built
 from that solution and fully determines the quantity the paper measures:
 bytes per (timestep, level, task).  This keeps the physics honest where
@@ -161,37 +162,15 @@ class CastroSim:
             return field
         return restrict_average(field, factor)
 
-    def _density_at_level(self, level: int) -> np.ndarray:
-        g = self._g
-        return self._field_at_level(self._U[URHO, g:-g, g:-g], level)
-
-    def _pressure_at_level(self, level: int) -> np.ndarray:
-        g = self._g
-        W = cons_to_prim(self._U[:, g:-g, g:-g], self.eos)
-        return self._field_at_level(W[QP], level)
-
-    def _tag_fn(self, level: int, geom) -> np.ndarray:
-        """Castro's Sedov tagging: density *or* pressure gradients.
-
-        At t=0 the blast is a pure pressure discontinuity (density is
-        uniform), so pressure tagging is what seeds the initial refined
-        levels around the energy source.  (Seed-path form, one full
-        ``cons_to_prim`` per level; :meth:`regrid` uses the batched
-        equivalent.)
-        """
-        return tag_gradient(
-            self._density_at_level(level), self.tag_criteria
-        ) | tag_gradient(self._pressure_at_level(level), self.tag_criteria)
-
     def regrid(self) -> None:
-        """Regrid from density/pressure gradient tags.
+        """Regrid from density *or* pressure gradient tags.
 
-        The fine-resolution density and pressure fields are computed
-        once per regrid — one ``cons_to_prim`` pass over the mesh —
-        and only *restricted* per level inside the tag callback,
-        instead of the seed's full-mesh primitive recompute per level.
-        Restriction still runs directly from the fine field, so the
-        tags are bit-identical to :meth:`_tag_fn`'s.
+        This is Castro's Sedov tagging.  At t=0 the blast is a pure pressure discontinuity (density is
+        uniform), so pressure tagging is what seeds the initial refined
+        levels around the energy source.  The fine-resolution density
+        and pressure fields are computed once per regrid — one
+        ``cons_to_prim`` pass over the mesh — and only *restricted* per
+        level inside the tag callback.
         """
         g = self._g
         interior = self._U[:, g:-g, g:-g]
@@ -209,12 +188,7 @@ class CastroSim:
 
     # ------------------------------------------------------------------
     def _fine_advance_once(self) -> float:
-        """One fine step; returns the dt taken.
-
-        ``advance_patch`` is the single-patch entry of the same fused
-        Godunov core the level solver batches over fab stacks, so the
-        dense fine-grid advance and the MultiFab path share one kernel.
-        """
+        """One fine step; returns the dt taken."""
         g = self._g
         inp = self.inputs
         W = cons_to_prim(self._U[:, g:-g, g:-g], self.eos)

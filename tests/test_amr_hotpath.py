@@ -1,12 +1,11 @@
-"""Equivalence suite for the plan-cached AMR solver hot path.
+"""Equivalence suite for the AMR hot path.
 
-Every optimization in the hot path (plan-cached ``fill_boundary``,
-vectorized ``buffer_tags``, amortized ``AmrHierarchy.regrid``, batched
-``LevelSolver.stable_dt`` / ``MultiFab.bytes_per_rank``) is pinned
-*bit-identical* against the seed implementations, which are kept here
-verbatim as the reference.  The final test replays a whole solver-engine
-``CastroSim`` run with the seed paths monkeypatched back in and demands
-an identical ``SimResult``.
+Every optimization in the hot path (vectorized ``buffer_tags``,
+amortized ``AmrHierarchy.regrid``, batched ``MultiFab.bytes_per_rank``)
+is pinned *bit-identical* against the seed implementations, which are
+kept here verbatim as the reference.  The final test replays a whole
+solver-engine ``CastroSim`` run with the seed paths monkeypatched back
+in and demands an identical ``SimResult``.
 """
 
 import numpy as np
@@ -17,41 +16,19 @@ from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
 from repro.amr.cluster import ClusterParams, berger_rigoutsos
 from repro.amr.distribution import make_distribution, round_robin_map
-from repro.amr.geometry import Geometry
 from repro.amr.grid import make_level_grids
 from repro.amr.hierarchy import AmrHierarchy, AmrParams, LevelState
-from repro.amr.multifab import MultiFab, regrid_multifab
-from repro.amr.tagging import buffer_tags
-from repro.hydro.eos import GammaLawEOS
-from repro.hydro.sedov import SedovProblem, initialize_multifab
-from repro.hydro.solver import LevelSolver
-from repro.hydro.state import NCOMP
-from repro.hydro.timestep import cfl_timestep
-from repro.hydro.state import cons_to_prim
+from repro.amr.interp import restrict_average
+from repro.amr.multifab import MultiFab
+from repro.amr.tagging import buffer_tags, tag_gradient
+from repro.hydro.state import NCOMP, QP, URHO, cons_to_prim
 from repro.sim.castro import CastroSim
 from repro.sim.inputs import CastroInputs
-
-EOS = GammaLawEOS()
 
 
 # ----------------------------------------------------------------------
 # Seed reference implementations (verbatim from the pre-PR code)
 # ----------------------------------------------------------------------
-def seed_fill_boundary(mf: MultiFab) -> None:
-    if mf.nghost == 0:
-        return
-    for dst in mf.fabs:
-        gb = dst.grown_box
-        for src in mf.fabs:
-            if src is dst:
-                continue
-            overlap = gb.intersection(src.box)
-            if overlap is None:
-                continue
-            for c in range(mf.ncomp):
-                dst.view(overlap, c)[...] = src.view(overlap, c)
-
-
 def seed_buffer_tags(tags: np.ndarray, n_buf: int) -> np.ndarray:
     if n_buf <= 0:
         return tags.copy()
@@ -64,15 +41,6 @@ def seed_buffer_tags(tags: np.ndarray, n_buf: int) -> np.ndarray:
         grown[:, 1:] |= out[:, :-1]
         out = grown
     return out
-
-
-def seed_stable_dt(solver: LevelSolver, mf: MultiFab, cfl: float) -> float:
-    dx, dy = solver.geom.cell_size
-    dts = []
-    for fab in mf:
-        W = cons_to_prim(fab.interior(), solver.eos)
-        dts.append(cfl_timestep(W, dx, dy, cfl, solver.eos))
-    return min(dts)
 
 
 def seed_bytes_per_rank(mf: MultiFab) -> np.ndarray:
@@ -125,6 +93,28 @@ def seed_regrid(self, tag_fn) -> None:
     self.levels = new_levels
 
 
+def seed_castro_regrid(sim: CastroSim) -> None:
+    """The seed CastroSim.regrid: density *or* pressure gradient tags,
+    with one full-mesh ``cons_to_prim`` per level."""
+    g = sim._g
+
+    def at_level(field, level):
+        factor = sim.inputs.ref_ratio ** (sim.inputs.max_level - level)
+        if factor == 1:
+            return field
+        return restrict_average(field, factor)
+
+    def tag_fn(level, geom):
+        rho = at_level(sim._U[URHO, g:-g, g:-g], level)
+        W = cons_to_prim(sim._U[:, g:-g, g:-g], sim.eos)
+        pressure = at_level(W[QP], level)
+        return tag_gradient(rho, sim.tag_criteria) | tag_gradient(
+            pressure, sim.tag_criteria
+        )
+
+    sim.hierarchy.regrid(tag_fn)
+
+
 # ----------------------------------------------------------------------
 # layouts
 # ----------------------------------------------------------------------
@@ -156,8 +146,8 @@ LAYOUTS = {
 }
 
 
-def random_multifab(ba, ncomp=4, nghost=2, nprocs=3, seed=0):
-    mf = MultiFab(ba, round_robin_map(ba, nprocs), ncomp, nghost=nghost)
+def random_multifab(ba, nprocs=3, seed=0):
+    mf = MultiFab(ba, round_robin_map(ba, nprocs), NCOMP, nghost=2)
     rng = np.random.default_rng(seed)
     for fab in mf:
         fab.data[...] = rng.random(fab.data.shape)
@@ -171,63 +161,6 @@ def annulus_tagger(radius, width):
         return np.abs(r - radius) < width
 
     return tag_fn
-
-
-# ----------------------------------------------------------------------
-# fill_boundary
-# ----------------------------------------------------------------------
-class TestFillBoundaryPlan:
-    @pytest.mark.parametrize("name", sorted(LAYOUTS))
-    @pytest.mark.parametrize("ncomp", [1, 4])
-    def test_ghosts_bit_identical_to_seed(self, name, ncomp):
-        ba = LAYOUTS[name]
-        planned = random_multifab(ba, ncomp=ncomp, seed=7)
-        reference = random_multifab(ba, ncomp=ncomp, seed=7)
-        planned.fill_boundary()
-        seed_fill_boundary(reference)
-        for pf, rf in zip(planned, reference):
-            assert np.array_equal(pf.data, rf.data)
-
-    def test_replay_after_data_change(self):
-        """Second call must replay the cached plan on the new data."""
-        ba = LAYOUTS["4x4-grid"]
-        planned = random_multifab(ba, seed=1)
-        planned.fill_boundary()
-        plan = planned.exchange_plan()
-        reference = random_multifab(ba, seed=99)
-        for pf, rf in zip(planned, reference):
-            pf.data[...] = rf.data
-        planned.fill_boundary()
-        assert planned.exchange_plan() is plan  # cached, not rebuilt
-        seed_fill_boundary(reference)
-        for pf, rf in zip(planned, reference):
-            assert np.array_equal(pf.data, rf.data)
-
-    def test_nghost_zero_is_noop(self):
-        ba = LAYOUTS["two-box"]
-        mf = random_multifab(ba, nghost=0, seed=3)
-        before = [fab.data.copy() for fab in mf]
-        mf.fill_boundary()
-        for fab, b in zip(mf, before):
-            assert np.array_equal(fab.data, b)
-        assert mf.exchange_plan() == []  # no overlaps without ghosts
-
-    def test_plan_invalidates_on_boxarray_swap(self):
-        """A new BoxArray (regrid) must key a fresh plan automatically."""
-        mf = random_multifab(LAYOUTS["two-box"], seed=5)
-        first = mf.exchange_plan()
-        assert mf.exchange_plan() is first
-        # same box *content*, new identity -> new token -> rebuilt plan
-        mf.boxarray = BoxArray(LAYOUTS["two-box"].boxes)
-        assert mf.exchange_plan() is not first
-        assert mf.exchange_plan() == first  # same layout, same plan content
-
-    def test_explicit_invalidation(self):
-        mf = random_multifab(LAYOUTS["uneven"], seed=6)
-        first = mf.exchange_plan()
-        mf.invalidate_exchange_plan()
-        rebuilt = mf.exchange_plan()
-        assert rebuilt is not first and rebuilt == first
 
 
 # ----------------------------------------------------------------------
@@ -289,81 +222,11 @@ class TestAmortizedRegrid:
             assert mine.distribution.ranks == ref.distribution.ranks
         assert h.regrid_stats["levels_rebuilt"] >= 1
 
-    def test_regrid_multifab_reuses_on_unchanged_layout(self):
-        h = AmrHierarchy(self.params(), nprocs=2)
-        h.regrid(annulus_tagger(0.4, 0.08))
-        lev = h.levels[1]
-        mf = MultiFab(lev.boxarray, lev.distribution, NCOMP, nghost=2)
-        assert regrid_multifab(mf, lev.boxarray, lev.distribution) is mf
-
-    def test_regrid_multifab_moves_overlapping_data(self):
-        h = AmrHierarchy(self.params(), nprocs=2)
-        h.regrid(annulus_tagger(0.35, 0.1))
-        old_lev = h.levels[1]
-        mf = random_multifab(old_lev.boxarray, nprocs=2, seed=12)
-        dense = {}
-        for fab in mf:
-            dense[fab.box] = fab.interior().copy()
-        h.regrid(annulus_tagger(0.45, 0.1))
-        new_lev = h.levels[1]
-        assert list(new_lev.boxarray.boxes) != list(old_lev.boxarray.boxes)
-        moved = regrid_multifab(mf, new_lev.boxarray, new_lev.distribution)
-        assert moved is not mf
-        for nfab in moved:
-            for obox, odata in dense.items():
-                overlap = nfab.box.intersection(obox)
-                if overlap is None:
-                    continue
-                got = nfab.interior()[
-                    (slice(None),) + overlap.slices(nfab.box.lo)
-                ]
-                want = odata[(slice(None),) + overlap.slices(obox.lo)]
-                assert np.array_equal(got, want)
-
-    def test_regrid_mid_run_invalidates_plan(self):
-        """The regrid-mid-run lifecycle: plan keys follow the BoxArray."""
-        h = AmrHierarchy(self.params(), nprocs=2)
-        h.regrid(annulus_tagger(0.35, 0.1))
-        mf = random_multifab(h.levels[1].boxarray, nprocs=2, seed=13)
-        mf.fill_boundary()
-        old_key = mf._exchange_key
-        h.regrid(annulus_tagger(0.5, 0.1))
-        moved = regrid_multifab(
-            mf, h.levels[1].boxarray, h.levels[1].distribution
-        )
-        moved.fill_boundary()
-        assert moved._exchange_key != old_key
-        reference = MultiFab(
-            moved.boxarray, moved.distribution, moved.ncomp, moved.nghost
-        )
-        for rf, mfab in zip(reference, moved):
-            rf.data[...] = mfab.data
-        # re-randomize ghosts so the exchange has work to do, then compare
-        seed_fill_boundary(reference)
-        moved.fill_boundary()
-        for rf, mfab in zip(reference, moved):
-            assert np.array_equal(rf.data, mfab.data)
-
 
 # ----------------------------------------------------------------------
 # batched reductions
 # ----------------------------------------------------------------------
 class TestBatchedReductions:
-    def sedov_level(self, nboxes=4):
-        nx = 32
-        w = nx // nboxes
-        ba = BoxArray([Box((k * w, 0), ((k + 1) * w - 1, nx - 1)) for k in range(nboxes)])
-        geom = Geometry(Box.cell_centered(nx, nx))
-        mf = MultiFab(ba, round_robin_map(ba, 2), NCOMP, nghost=2)
-        initialize_multifab(SedovProblem(r_init=0.1), mf, geom, EOS)
-        return geom, mf
-
-    @pytest.mark.parametrize("nboxes", [1, 2, 4])
-    def test_stable_dt_bit_identical(self, nboxes):
-        geom, mf = self.sedov_level(nboxes)
-        solver = LevelSolver(geom, EOS)
-        assert solver.stable_dt(mf, 0.5) == seed_stable_dt(solver, mf, 0.5)
-
     def test_bytes_per_rank_bit_identical(self):
         for ba in LAYOUTS.values():
             mf = random_multifab(ba, nprocs=5, seed=21)
@@ -376,9 +239,6 @@ class TestBatchedReductions:
             mf.min(0)
         with pytest.raises(ValueError, match="empty MultiFab"):
             mf.max(0)
-        solver = LevelSolver(Geometry(Box.cell_centered(8, 8)), EOS)
-        with pytest.raises(ValueError, match="empty MultiFab"):
-            solver.stable_dt(mf, 0.5)
         assert mf.bytes_per_rank().tolist() == [0]
 
 
@@ -404,9 +264,7 @@ class TestSimResultEquivalence:
         fast = CastroSim(self.small_inputs(), nprocs=4).run()
 
         monkeypatch.setattr(hierarchy_mod.AmrHierarchy, "regrid", seed_regrid)
-        monkeypatch.setattr(
-            CastroSim, "regrid", lambda self: self.hierarchy.regrid(self._tag_fn)
-        )
+        monkeypatch.setattr(CastroSim, "regrid", seed_castro_regrid)
         seed = CastroSim(self.small_inputs(), nprocs=4).run()
 
         assert fast.steps_taken == seed.steps_taken

@@ -74,17 +74,6 @@ class TestMultiFab:
         expect = (15.5 / 16) * 2
         assert mf.max(0) == pytest.approx(expect)
 
-    def test_fill_boundary_copies_neighbor(self, ba):
-        mf = MultiFab(ba, round_robin_map(ba, 1), ncomp=1, nghost=2)
-        mf[0].interior(0)[...] = 1.0
-        mf[1].interior(0)[...] = 2.0
-        mf.fill_boundary()
-        # fab0's hi-x ghosts overlap fab1's valid region
-        ghost = mf[0].view(Box((8, 0), (9, 15)), 0)
-        assert (ghost == 2.0).all()
-        ghost2 = mf[1].view(Box((6, 0), (7, 15)), 0)
-        assert (ghost2 == 1.0).all()
-
     def test_bytes_per_rank(self, mf):
         per = mf.bytes_per_rank()
         assert per.sum() == mf.total_bytes()

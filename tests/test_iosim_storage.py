@@ -6,8 +6,10 @@ import pytest
 from repro.iosim.burst import BurstSchedule
 from repro.iosim.darshan import IOTrace
 from repro.iosim.storage import StorageModel
-from repro.iosim.summit import SUMMIT
 from repro.parallel.topology import JobTopology
+from repro.platform import get_platform
+
+SUMMIT = get_platform("summit")
 
 
 class TestStorageModel:

@@ -230,39 +230,6 @@ class TestRuleCorpus:
         )
         assert report.ok
 
-    def test_rl006_fused_entry_points_are_recognized(self, tmp_path):
-        ok = """
-            class FusedLevelPlan:
-                def advance_level(self, mf):
-                    for k, fab in enumerate(mf.fabs):
-                        fab.work(k)
-
-            def fused_gather(mf):
-                for fab in mf:
-                    fab.work()
-            """
-        report = run_lint(
-            tmp_path, {"src/repro/hydro/x.py": ok}, select={"RL006"}
-        )
-        assert report.ok
-
-    def test_rl006_loop_outside_fused_scope_still_fires(self, tmp_path):
-        bad = """
-            class FusedLevelPlan:
-                def advance_level(self, mf):
-                    for fab in mf:
-                        fab.work()
-
-            def total(mf):
-                for fab in mf:
-                    fab.work()
-            """
-        report = run_lint(
-            tmp_path, {"src/repro/hydro/x.py": bad}, select={"RL006"}
-        )
-        assert active_rules(report) == ["RL006"]
-        assert len(report.active) == 1
-
     def test_rl007_lambda_worker_fires(self, tmp_path):
         bad = """
             def run(pool):

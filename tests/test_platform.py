@@ -1,7 +1,7 @@
 """Tests for the platform subsystem: registry, storage-model hierarchy,
 machine threading through campaign/predictor/CLI, and the pinned
 summit-equivalence guarantee (default behavior bit-identical to the
-pre-refactor SUMMIT singleton)."""
+seed's Summit/Alpine constants)."""
 
 import json
 
@@ -24,7 +24,6 @@ from repro.iosim.storage import (
     LustreStorageModel,
     StorageModel,
 )
-from repro.iosim.summit import SUMMIT
 from repro.parallel.topology import JobTopology
 from repro.platform import (
     PLATFORM_REGISTRY,
@@ -99,19 +98,31 @@ class TestRegistry:
         assert type(get_platform("workstation").storage_model()) is StorageModel
 
 
+def seed_alpine_storage(variability: float = 0.15, seed: int = 12345) -> StorageModel:
+    """The seed's Alpine storage model, verbatim: the reference the
+    ``summit`` registry entry is pinned against."""
+    return StorageModel(
+        stream_bandwidth=1.5e9,
+        node_bandwidth=12.5e9,
+        metadata_latency=2.0e-3,
+        variability=variability,
+        seed=seed,
+    )
+
+
 class TestSummitEquivalence:
     """The acceptance pin: the summit registry entry reproduces the seed
-    SUMMIT/StorageModel.summit_alpine behavior bit-for-bit."""
+    Summit/Alpine behavior bit-for-bit."""
 
     def test_storage_model_fields_identical(self):
         a = get_platform("summit").storage_model(variability=0.15, seed=7)
-        b = StorageModel.summit_alpine(variability=0.15, seed=7)
+        b = seed_alpine_storage(variability=0.15, seed=7)
         assert a == b
         assert type(a) is type(b)
 
     def test_burst_times_bit_identical_with_noise(self):
         a = get_platform("summit").storage_model(variability=0.15, seed=99)
-        b = StorageModel.summit_alpine(variability=0.15, seed=99)
+        b = seed_alpine_storage(variability=0.15, seed=99)
         rng = np.random.default_rng(3)
         for nprocs in (1, 32, 1024):
             nodes = JobTopology.summit_default(nprocs).node_map()
@@ -120,10 +131,11 @@ class TestSummitEquivalence:
                 assert a.burst_time(nb, nodes) == b.burst_time(nb, nodes)
 
     def test_machine_constants_match_shim(self):
+        # the seed's Summit machine constants
         p = get_platform("summit")
-        assert p.total_nodes == SUMMIT.total_nodes == 4608
-        assert p.cores_per_node == SUMMIT.cores_per_node
-        assert p.filesystem.aggregate_bandwidth == SUMMIT.alpine_aggregate_bw
+        assert p.total_nodes == 4608
+        assert p.cores_per_node == 42
+        assert p.filesystem.aggregate_bandwidth == 2.5e12
 
     def test_default_topology_matches_summit_default(self):
         for nprocs in (1, 2, 3, 32, 1024):
@@ -138,7 +150,7 @@ class TestSummitEquivalence:
                               plot_int=10, cfl=0.4, stop_time=1e9,
                               max_grid_size=256, blocking_factor=8)
         legacy = predict_sizes(
-            inputs, 32, storage=StorageModel.summit_alpine(variability=0.0)
+            inputs, 32, storage=seed_alpine_storage(variability=0.0)
         )
         via_platform = predict_sizes(inputs, 32, platform="summit")
         assert np.array_equal(legacy.step_bytes, via_platform.step_bytes)
@@ -150,18 +162,16 @@ class TestSummitEquivalence:
 class TestMaxFractionNodes:
     def test_tiny_fraction_clamps_to_one_node(self):
         # regression: 1/5000 of Summit used to floor to 0 nodes
-        assert SUMMIT.max_fraction_nodes(1 / 5000) == 1
         assert get_platform("summit").max_fraction_nodes(1 / 5000) == 1
 
     def test_paper_fraction_unchanged(self):
-        assert SUMMIT.max_fraction_nodes(1 / 9) == 512
         assert get_platform("summit").max_fraction_nodes(1 / 9) == 512
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
             get_platform("summit").max_fraction_nodes(0)
         with pytest.raises(ValueError):
-            SUMMIT.max_fraction_nodes(1.5)
+            get_platform("summit").max_fraction_nodes(1.5)
 
 
 class TestStorageValidation:

@@ -11,7 +11,6 @@ from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
 from repro.amr.distribution import round_robin_map
 from repro.amr.geometry import Geometry
-from repro.amr.multifab import MultiFab
 from repro.iosim.filesystem import VirtualFileSystem
 from repro.plotfile import writer as plotwriter
 from repro.plotfile.writer import PlotfileSpec, clear_plan_cache, write_plotfile
@@ -28,11 +27,6 @@ def sanitized(monkeypatch):
 @pytest.fixture
 def unsanitized(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-
-
-def ghost_mf(nghost=1):
-    ba = BoxArray([Box((0, 0), (7, 15)), Box((8, 0), (15, 15))])
-    return MultiFab(ba, round_robin_map(ba, 2), ncomp=2, nghost=nghost)
 
 
 class TestHelpers:
@@ -118,56 +112,6 @@ class TestLRUFreezing:
         for i in range(10):
             cache.put(i, np.full(2, float(i)))
         assert len(cache) == 2 and cache.evictions == 8
-
-
-class TestExchangePlanReplay:
-    def test_stale_plan_replay_trips(self, sanitized):
-        mf = ghost_mf()
-        mf.fill_boundary()  # builds the plan and records its checksum
-        plan = mf.exchange_plan()
-        assert plan
-        si, di, src_sl, dst_sl = plan[0]
-        plan[0] = (di, si, dst_sl, src_sl)  # corrupt the cached plan
-        with pytest.raises(SanitizeError, match="drifted"):
-            mf.fill_boundary()
-
-    def test_dropped_plan_entry_trips_too(self, sanitized):
-        mf = ghost_mf()
-        mf.fill_boundary()
-        mf.exchange_plan().pop()
-        with pytest.raises(SanitizeError):
-            mf.fill_boundary()
-
-    def test_clean_replay_passes(self, sanitized):
-        mf = ghost_mf()
-        mf.fill_boundary()
-        mf.fill_boundary()  # same plan, same checksum: no trip
-
-    def test_invalidate_resets_the_tripwire(self, sanitized):
-        mf = ghost_mf()
-        mf.fill_boundary()
-        mf.exchange_plan().pop()
-        mf.invalidate_exchange_plan()
-        mf.fill_boundary()  # rebuilt from scratch: clean again
-
-    def test_mutation_is_silent_without_sanitize(self, unsanitized):
-        mf = ghost_mf()
-        mf.fill_boundary()
-        mf.exchange_plan().pop()
-        mf.fill_boundary()  # documents the hazard the sanitizer exists for
-
-    def test_exchange_bounds_is_frozen_and_columnar(self, unsanitized):
-        mf = ghost_mf()
-        bounds = mf.exchange_bounds()
-        assert bounds.dtype == np.int64
-        assert bounds.shape == (len(mf.exchange_plan()), 10)
-        assert not bounds.flags.writeable
-        with pytest.raises(ValueError):
-            bounds[0, 0] = 99
-        # columnar form agrees with the replayed slice tuples
-        si, di, src_sl, dst_sl = mf.exchange_plan()[0]
-        assert bounds[0, 0] == si and bounds[0, 1] == di
-        assert bounds[0, 2] == src_sl[1].start and bounds[0, 3] == src_sl[1].stop
 
 
 def one_level_dump_args(nprocs=3):

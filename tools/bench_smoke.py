@@ -17,7 +17,10 @@ Smoke runs write their JSON artifacts to ``BENCH_*_smoke.json`` (the
 files — whose speedup floors only hold at full size — are never
 clobbered by a tiny-size run.  This script enforces both sides: the
 ``_smoke`` variant must be fresh, and the full-size artifact must still
-exist untouched.
+exist untouched and pass :data:`FULL_SIZE_CHECKS` — its bench's own
+full-size assertions — so a smoke run or a missed floor cannot sit in
+the tree as a full-size result (``tests/test_bench_artifacts.py`` runs
+the same checks in the tier-1 suite).
 
 Run via ``make bench-smoke`` or::
 
@@ -32,7 +35,7 @@ import re
 import subprocess
 import sys
 import time
-from typing import Dict, List
+from typing import Callable, Dict, List, Tuple
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 BENCH_DIR = os.path.join(ROOT, "benchmarks")
@@ -41,29 +44,93 @@ OUTPUT_DIR = os.path.join(BENCH_DIR, "output")
 EMIT_RE = re.compile(r'emit\(\s*f?"([\w.-]+)"')
 JSON_RE = re.compile(r'BENCH_PATH\s*=\s*os\.path\.join\(OUTPUT_DIR,\s*"([\w.-]+\.json)"')
 
-# Timing artifacts the suite must always declare — a rename or deleted
-# bench can't silently drop one from coverage.
-REQUIRED_JSON = {
-    "BENCH_trace.json",
-    "BENCH_campaign.json",
-    "BENCH_solver.json",
-    "BENCH_dump.json",
-    "BENCH_platforms.json",
-    "BENCH_service.json",
-    "BENCH_resilience.json",
-    "BENCH_service_resilience.json",
-}
-
 # Measured columns the payloads must carry — a refactor that silently
 # drops one fails here, not after an expensive full-size run.
 REQUIRED_FIELDS = {
-    "BENCH_solver.json": lambda p: all(
-        "fused_speedup" in row for row in p.get("rows", [])
-    ) and bool(p.get("rows")),
     "BENCH_trace.json": lambda p: "spill_maxrss_mb" in p.get("spill", {})
     and all("append_speedup" in row for row in p.get("rows", []))
     and bool(p.get("rows")),
 }
+
+Check = Tuple[bool, str]
+
+
+def _full_size(payload: dict, *checks: Check) -> List[str]:
+    """Failures of one full-size artifact: the smoke stamp the
+    ``bench_json`` fixture writes, then every ``(ok, message)`` check
+    that does not hold."""
+    errors = ["smoke run (smoke: true)"] if payload.get("smoke") else []
+    return errors + [message for ok, message in checks if not ok]
+
+
+def _floor(what: str, value: float, floor: float) -> Check:
+    return value >= floor, f"{what} {value} is below its floor {floor}"
+
+
+def _ceiling(what: str, value: float, ceiling: float) -> Check:
+    return value <= ceiling, f"{what} {value} is above its ceiling {ceiling}"
+
+
+# One check per checked-in full-size artifact, mirroring the full-size
+# assertions of the bench that writes it.  The keys are also the timing
+# artifacts the suite must always declare, so a renamed or deleted bench
+# cannot silently drop one from coverage.
+FULL_SIZE_CHECKS: Dict[str, Callable[[dict], List[str]]] = {
+    "BENCH_trace.json": lambda p: _full_size(
+        p,
+        (p["rows"][-1]["records"] == 1_000_000,
+         "largest row is not 10^6 records"),
+        _floor("aggregation speedup", p["rows"][-1]["agg_speedup"],
+               p["speedup_floor"]),
+        _floor("append speedup", p["rows"][0]["append_speedup"],
+               p["append_parity_floor"]),
+        _ceiling("spill peak RSS (MB)", p["spill"]["spill_maxrss_mb"],
+                 p["spill"]["rss_ceiling_mb"]),
+    ),
+    "BENCH_campaign.json": lambda p: _full_size(
+        p,
+        _floor("n_cases", p["n_cases"], 8),
+        (p["cached_s"] < p["serial_s"],
+         "cached replay does not beat re-executing the sweep"),
+        (p["cpu_count"] <= 1 or p["parallel_s"] < p["serial_s"],
+         "parallel sweep does not beat serial on a multi-core host"),
+    ),
+    "BENCH_dump.json": lambda p: _full_size(p, *(
+        _floor(f"{row} speedup", p[row]["speedup"], p[row]["floor"])
+        for row in ("size_mode", "data_mode", "inspect")
+    )),
+    "BENCH_platforms.json": lambda p: _full_size(
+        p, _floor("min burst speedup", p["min_speedup"], p["speedup_floor"])
+    ),
+    "BENCH_service.json": lambda p: _full_size(
+        p,
+        (p["warm_pps"] >= p["warm_speedup_floor"] * p["percall_pps"],
+         f"warm path is below {p['warm_speedup_floor']}x per-call predict"),
+        (p["cold_pps"] >= p["percall_pps"],
+         "cold service is slower than per-call predict"),
+    ),
+    "BENCH_resilience.json": lambda p: _full_size(
+        p, _ceiling("supervised overhead (%)", p["overhead"]["overhead_pct"],
+                    p["overhead"]["bound_pct"])
+    ),
+    "BENCH_service_resilience.json": lambda p: _full_size(
+        p, _ceiling("armed warm-path overhead", p["overhead_fraction"],
+                    p["overhead_ceiling"])
+    ),
+}
+REQUIRED_JSON = set(FULL_SIZE_CHECKS)
+
+
+def full_size_errors(artifact: str, payload) -> List[str]:
+    """Why a checked-in full-size artifact fails its bench's full-size
+    assertions; empty when it passes."""
+    check = FULL_SIZE_CHECKS.get(artifact)
+    if check is None:
+        return ["no full-size check declared (see FULL_SIZE_CHECKS)"]
+    try:
+        return check(payload)
+    except (KeyError, IndexError, TypeError) as exc:
+        return [f"missing measured field {exc!r}"]
 
 
 def smoke_name(artifact: str) -> str:
@@ -151,6 +218,11 @@ def main() -> int:
             elif os.path.getmtime(full) >= start:
                 errors.append(
                     f"{bench}: smoke run overwrote full-size artifact {artifact}")
+            else:
+                with open(full, encoding="utf-8") as fh:
+                    payload = json.load(fh)
+                errors += [f"{bench}: full-size artifact {artifact}: {err}"
+                           for err in full_size_errors(artifact, payload)]
     if errors:
         for err in errors:
             print(f"bench-smoke: {err}", file=sys.stderr)

@@ -110,8 +110,7 @@ class CacheKeyCompleteness(Rule):
     read ``self``/parameter attributes absent from that key tuple.
 
     This is the invariant behind every plan cache in the tree: the
-    exchange plan keyed by ``(boxarray.token, nghost)``, the dump plan
-    keyed by ``(ba.token, dm.ranks, nvars)``, the service's
+    dump plan keyed by ``(ba.token, dm.ranks, nvars)``, the service's
     ``PlatformPlan`` keyed by ``(machine, nprocs)``.  An attribute the
     function reads but does not key means two different inputs can hit
     the same cache slot — silent wrong answers, not a crash.
@@ -585,12 +584,6 @@ class HotLoopSmell(Rule):
     modules.  PR 2-4 vectorized these paths; a new loop over fabs or
     ranks there is either a regression or needs a reasoned
     ``# lint: allow-loop(reason)`` (e.g. init-path, measured-faster).
-
-    The fused batch entry points — functions or classes whose name
-    matches ``fused`` (``FusedLevelPlan.advance_level``,
-    ``gather_interiors``) — are recognized: their O(nfabs) gather /
-    scatter loops *are* the "stack fabs" fix the rule asks for, so they
-    need no annotation.
     """
 
     id = "RL006"
@@ -601,7 +594,6 @@ class HotLoopSmell(Rule):
             "src/repro/iosim/storage.py")
     _FAB_NAMES = {"mf", "mfs", "fabs", "multifab"}
     _RANK_NAMES = {"nprocs", "ranks", "nranks"}
-    _FUSED_RE = re.compile(r"fused", re.I)
 
     def applies(self, relpath: str) -> bool:
         return any(
@@ -609,26 +601,18 @@ class HotLoopSmell(Rule):
         ) and not relpath.endswith("__init__.py")
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        yield from self._scan(module, module.tree, fused=False)
-
-    def _scan(self, module: ParsedModule, node: ast.AST,
-              fused: bool) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            inside = fused
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                inside = fused or bool(self._FUSED_RE.search(child.name))
-            if isinstance(child, ast.For) and not inside:
-                what = self._loop_kind(child.iter)
-                if what is not None:
-                    yield self.finding(
-                        module, child,
-                        f"Python for-loop over {what} in a hot module; batch "
-                        f"it (stack fabs / vectorize over ranks) or annotate "
-                        f"`# lint: allow-loop(reason)`",
-                    )
-            yield from self._scan(module, child, inside)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.For):
+                continue
+            what = self._loop_kind(node.iter)
+            if what is None:
+                continue
+            yield self.finding(
+                module, node,
+                f"Python for-loop over {what} in a hot module; batch it "
+                f"(stack fabs / vectorize over ranks) or annotate "
+                f"`# lint: allow-loop(reason)`",
+            )
 
     def _loop_kind(self, iter_expr: ast.AST) -> Optional[str]:
         for node in ast.walk(iter_expr):
