@@ -141,10 +141,13 @@ def make_stream(n, seed=1234, nprocs=128, nlevels=4, nsteps=50):
 def run_aggregations(trace, nprocs):
     """The analysis layer's query mix; returns results for comparison.
 
-    The per-step probes mirror the real consumers — ``campaign.records``
-    asks for per-rank vectors of specific dumps, ``per_task_series`` and
-    the Fig. 7/8 pipelines walk dumps one at a time — each of which is a
-    full O(records) scan on the event-list path.
+    The per-step probes mirror the real per-dump queries —
+    ``campaign.records`` asks for the per-rank vector of its last dump
+    and ``iosim.readmodel`` for the per-rank and metadata bytes of one
+    dump — each of which is a full O(records) scan on the event-list
+    path.  ``per_task_series`` and the Fig. 7/8 pipelines do not probe
+    per dump: they read ``trace.columns()`` once and aggregate those
+    arrays themselves.
     """
     steps = trace.steps()
     probes = steps[:: max(1, len(steps) // 5)][:5]

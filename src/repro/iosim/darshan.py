@@ -9,12 +9,20 @@ a storage model is attached.
 
 Storage is *columnar*: one chunked, amortized-doubling ``int64`` array
 per field (step / level / rank / nbytes / kind / path), with paths and
-kinds interned to integer ids.  Every aggregation is a vectorized
-``np.unique`` + ``np.add.at`` pass instead of a Python loop over
-records, which is what makes paper-scale (10^6-record, 131072^2-mesh)
-campaigns tractable.  The public API is unchanged from the event-list
-implementation — :class:`IORecord` objects are materialized lazily for
-iteration — and every aggregation returns byte-identical results.
+kinds interned to integer ids.  The public API is unchanged from the
+event-list implementation — :class:`IORecord` objects are materialized
+lazily for iteration — and every aggregation returns byte-identical
+results.
+
+Every aggregation is one streaming pass over the trace's *segments*:
+the sealed on-disk chunks in record order, then the live in-RAM tail as
+the last segment.  Each segment is reduced by a vectorized
+``np.bincount`` (or sort-based ``np.unique``) pass instead of a Python
+loop over records, and the per-segment results are merged with exact
+integer arithmetic, which is what makes paper-scale (10^6-record,
+131072^2-mesh) campaigns tractable.  A trace that never seals is a
+single segment, so ``spill_dir`` only decides where sealed segments
+live, never how a query is answered.
 
 Two scale mechanisms sit on top of the columns:
 
@@ -30,9 +38,16 @@ Two scale mechanisms sit on top of the columns:
   so 10^8-record campaigns stay flat in RSS.  Sealed chunks carry a
   crc32 fingerprint (computed at seal, re-verified at every re-open
   under ``REPRO_SANITIZE=1``) so on-disk drift raises
-  :class:`repro.sanitize.SanitizeError` at the read site.  Give each
-  trace its own ``spill_dir``; chunk files are named by sequence
-  number within the directory.
+  :class:`repro.sanitize.SanitizeError` at the read site.  Each trace
+  needs its own ``spill_dir``, and this is enforced: chunk files are
+  named by sequence number and created exclusively, so a second trace
+  sealing into the same directory raises ``FileExistsError`` naming the
+  chunk instead of overwriting the first trace's data.
+
+:meth:`IOTrace.columns` returns zero-copy read-only views only for a
+trace without a ``spill_dir``, whose live rows never move.  Sealing
+shifts the live tail down in place, so a spill-enabled trace returns a
+materialized copy instead.
 
 Error contract: :meth:`IOTrace.bytes_per_rank` raises ``ValueError``
 (naming the offending rank) when a recorded rank falls outside a
@@ -85,6 +100,16 @@ class IORecord:
     kind: str = "data"  # "data" | "metadata"
 
 
+def _check_rank_bound(ranks: np.ndarray, nprocs: int) -> None:
+    """Raise the ``bytes_per_rank`` error contract for out-of-range ranks."""
+    if len(ranks) and int(ranks.max()) >= nprocs:
+        bad = int(ranks[ranks >= nprocs][0])
+        raise ValueError(
+            f"trace contains rank {bad} but nprocs={nprocs}; "
+            "pass nprocs > the largest recorded rank"
+        )
+
+
 @dataclass(frozen=True)
 class TraceColumns:
     """Read-only column views of a trace (step/level/rank are int64).
@@ -112,13 +137,7 @@ class TraceColumns:
 
     def check_rank_bound(self, nprocs: int, mask: Optional[np.ndarray] = None) -> None:
         """Raise the ``bytes_per_rank`` error contract for out-of-range ranks."""
-        ranks = self.rank if mask is None else self.rank[mask]
-        if len(ranks) and int(ranks.max()) >= nprocs:
-            bad = int(ranks[ranks >= nprocs][0])
-            raise ValueError(
-                f"trace contains rank {bad} but nprocs={nprocs}; "
-                "pass nprocs > the largest recorded rank"
-            )
+        _check_rank_bound(self.rank if mask is None else self.rank[mask], nprocs)
 
 
 class _Segment(NamedTuple):
@@ -250,10 +269,15 @@ def _triple_sums(
 class IOTrace:
     """Accumulates write records columnarly and answers aggregate queries.
 
-    ``spill_dir=None`` (the default) keeps every record in RAM exactly
-    as before.  With a ``spill_dir``, each full ``chunk_records`` block
-    is sealed to raw int64 field files there and streamed back through
-    ``np.memmap`` on demand; aggregations are bit-identical either way.
+    Every query streams over :meth:`_segments`: the sealed chunks, then
+    the live in-RAM tail as the last segment.  ``spill_dir=None`` (the
+    default) never seals, so the tail is the whole trace.  With a
+    ``spill_dir``, each full ``chunk_records`` block is sealed to raw
+    int64 field files there and streamed back through ``np.memmap`` on
+    demand; ``spill_dir`` only decides where sealed segments live, and
+    aggregations are bit-identical either way.  The directory must not
+    be shared: sealing a chunk file that already exists raises
+    ``FileExistsError``.
     """
 
     def __init__(
@@ -284,9 +308,6 @@ class IOTrace:
         self._path_names: List[str] = []
         self._path_ids: Dict[str, int] = {}
         self._burst_seconds: Dict[int, float] = {}
-        # One-entry (step, n, mask) cache: consumers walk a dump with
-        # several queries in a row (per-level, per-rank, file count).
-        self._step_mask_cache: Optional[Tuple[int, int, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # append paths
@@ -318,6 +339,22 @@ class IOTrace:
             self._path_ids[path] = pid
             self._path_names.append(path)
         return pid
+
+    def _append(self, n: int, step, level, rank, nbytes, kind, path) -> None:
+        """Write ``n`` rows to the live tail, one array per field (``kind``
+        may be one scalar id), then seal whatever filled a chunk."""
+        self._reserve(n)
+        lo, hi = self._n, self._n + n
+        self._step[lo:hi] = step
+        self._level[lo:hi] = level
+        self._rank[lo:hi] = rank
+        self._nbytes[lo:hi] = nbytes
+        self._kind[lo:hi] = kind
+        self._path[lo:hi] = path
+        self._n = hi
+        if n:
+            self._rank_hi = max(self._rank_hi, int(rank.max()))
+        self._maybe_seal()
 
     def record(
         self,
@@ -384,20 +421,7 @@ class IOTrace:
             ) from None
         if len(cols[3]) and int(cols[3].min()) < 0:
             raise ValueError("nbytes cannot be negative")
-        self._reserve(n)
-        lo, hi = self._n, self._n + n
-        self._step[lo:hi] = cols[0]
-        self._level[lo:hi] = cols[1]
-        self._rank[lo:hi] = cols[2]
-        self._nbytes[lo:hi] = cols[3]
-        self._kind[lo:hi] = self._intern_kind(kind)
-        self._path[lo:hi] = path_ids
-        self._n = hi
-        if n:
-            hi_rank = int(cols[2].max())
-            if hi_rank > self._rank_hi:
-                self._rank_hi = hi_rank
-        self._maybe_seal()
+        self._append(n, *cols, self._intern_kind(kind), path_ids)
 
     def record_burst_time(self, step: int, seconds: float) -> None:
         self._burst_seconds[step] = self._burst_seconds.get(step, 0.0) + seconds
@@ -409,22 +433,9 @@ class IOTrace:
         pend = self._pending
         if not pend:
             return
-        n = len(pend)
-        self._reserve(n)
         rows = np.array(pend, dtype=np.int64)
-        lo, hi = self._n, self._n + n
-        self._step[lo:hi] = rows[:, 0]
-        self._level[lo:hi] = rows[:, 1]
-        self._rank[lo:hi] = rows[:, 2]
-        self._nbytes[lo:hi] = rows[:, 3]
-        self._kind[lo:hi] = rows[:, 4]
-        self._path[lo:hi] = rows[:, 5]
-        self._n = hi
         pend.clear()
-        hi_rank = int(rows[:, 2].max())
-        if hi_rank > self._rank_hi:
-            self._rank_hi = hi_rank
-        self._maybe_seal()
+        self._append(len(rows), *rows.T)
 
     def _sync(self) -> None:
         """Flush buffered rows; every read entry point calls this first."""
@@ -446,7 +457,10 @@ class IOTrace:
         for name in _FIELDS:
             arr = getattr(self, "_" + name)[:c]
             path = os.path.join(self._spill_dir, f"chunk-{k:06d}.{name}.i64")
-            arr.tofile(path)
+            # Exclusive create: a trace sharing this directory fails here
+            # instead of overwriting another trace's sealed chunk.
+            with open(path, "xb") as fh:
+                arr.tofile(fh)
             files[name] = path
             arrays.append(arr)
         crc = sanitize.checksum(tuple(arrays)) if sanitize.enabled() else None
@@ -458,9 +472,6 @@ class IOTrace:
             col = getattr(self, "_" + name)
             col[:rem] = col[c : self._n]
         self._n = rem
-        # The live arrays changed identity-in-place: a cached (step, n)
-        # mask could otherwise match a future same-length live tail.
-        self._step_mask_cache = None
 
     def _open_chunk(self, chunk: _SealedChunk) -> _Segment:
         """Re-open a sealed chunk as read-only memmaps (verified under sanitize)."""
@@ -498,24 +509,38 @@ class IOTrace:
                 self._nbytes[:n], self._kind[:n], self._path[:n],
             )
 
-    @staticmethod
-    def _select(
-        seg: _Segment,
+    def _filtered(
+        self,
+        names: Tuple[str, ...],
         step: Optional[int] = None,
         level: Optional[int] = None,
-        kind_id: Optional[int] = None,
-    ) -> Optional[np.ndarray]:
-        """Boolean mask for a segment, or None when nothing filters."""
-        mask = None
-        if step is not None:
-            mask = seg.step == step
-        if level is not None:
-            m = seg.level == level
-            mask = m if mask is None else mask & m
-        if kind_id is not None:
-            m = seg.kind == kind_id
-            mask = m if mask is None else mask & m
-        return mask
+        kind: Optional[str] = None,
+    ) -> Iterator[List[np.ndarray]]:
+        """Per segment, the ``names`` columns of the rows passing every filter.
+
+        A ``kind`` that was never recorded matches no row, so nothing is
+        yielded and no chunk is opened.
+        """
+        kind_id = None
+        if kind is not None:
+            kind_id = self._kind_ids.get(kind)
+            if kind_id is None:
+                return
+        for seg in self._segments():
+            mask = None
+            for col, value in (
+                (seg.step, step), (seg.level, level), (seg.kind, kind_id)
+            ):
+                if value is not None:
+                    m = col == value
+                    mask = m if mask is None else mask & m
+            cols = [getattr(seg, name) for name in names]
+            if mask is not None:
+                # Scan the mask once; gathering each column by index is
+                # then cheaper than a boolean index re-scanning it.
+                rows = np.flatnonzero(mask)
+                cols = [col[rows] for col in cols]
+            yield cols
 
     # ------------------------------------------------------------------
     # spill introspection
@@ -562,78 +587,37 @@ class IOTrace:
         return tuple(self)
 
     def columns(self) -> TraceColumns:
-        """Read-only columnar views for custom vectorized aggregations.
+        """Read-only columns for custom vectorized aggregations.
 
-        With sealed chunks this *materializes* every spilled row back
-        into RAM (it is the whole-trace escape hatch); streaming
-        consumers should use the aggregation methods instead.
+        Without a ``spill_dir`` these are zero-copy views of the live
+        rows, which never move.  A spill-enabled trace returns a copy:
+        it *materializes* every spilled row back into RAM (the
+        whole-trace escape hatch), and a later seal shifts the live tail
+        in place, which a view would see.  Streaming consumers should
+        use the aggregation methods instead.
         """
         self._sync()
-        if not self._chunks:
-            n = self._n
-            return TraceColumns(
-                step=_readonly(self._step[:n]),
-                level=_readonly(self._level[:n]),
-                rank=_readonly(self._rank[:n]),
-                nbytes=_readonly(self._nbytes[:n]),
-                kind=_readonly(self._kind[:n]),
-                path=_readonly(self._path[:n]),
-                kinds=tuple(self._kind_names),
-                paths=tuple(self._path_names),
-            )
-        total = self._sealed + self._n
-        out = {name: np.empty(total, dtype=np.int64) for name in _FIELDS}
-        pos = 0
-        for seg in self._segments():
-            m = len(seg.step)
-            for name, arr in zip(_FIELDS, seg):
-                out[name][pos : pos + m] = arr
-            pos += m
+        if self._spill_dir is None:
+            cols = [getattr(self, "_" + name)[: self._n] for name in _FIELDS]
+        else:
+            cols = [np.empty(len(self), dtype=np.int64) for _ in _FIELDS]
+            pos = 0
+            for seg in self._segments():
+                m = len(seg.step)
+                for out, arr in zip(cols, seg):
+                    out[pos : pos + m] = arr
+                pos += m
         return TraceColumns(
-            step=_readonly(out["step"]),
-            level=_readonly(out["level"]),
-            rank=_readonly(out["rank"]),
-            nbytes=_readonly(out["nbytes"]),
-            kind=_readonly(out["kind"]),
-            path=_readonly(out["path"]),
+            *map(_readonly, cols),
             kinds=tuple(self._kind_names),
             paths=tuple(self._path_names),
         )
-
-    # ------------------------------------------------------------------
-    # masks (live-tail fast paths; spilled traces stream per segment)
-    # ------------------------------------------------------------------
-    def _kind_mask(self, kind: Optional[str]) -> Optional[np.ndarray]:
-        """None = all records; all-False when the kind was never seen."""
-        if kind is None:
-            return None
-        kid = self._kind_ids.get(kind)
-        if kid is None:
-            return np.zeros(self._n, dtype=bool)
-        return self._kind[: self._n] == kid
-
-    def _step_mask(self, step: int) -> np.ndarray:
-        cached = self._step_mask_cache
-        if cached is not None and cached[0] == step and cached[1] == self._n:
-            return cached[2]
-        mask = self._step[: self._n] == step
-        self._step_mask_cache = (step, self._n, mask)
-        return mask
-
-    def _kind_id_or_none(self, kind: Optional[str]) -> Tuple[Optional[int], bool]:
-        """(interned id or None, kind-was-requested-but-never-seen)."""
-        if kind is None:
-            return None, False
-        kid = self._kind_ids.get(kind)
-        return kid, kid is None
 
     # ------------------------------------------------------------------
     # aggregations — the (timestep, level, task) hierarchy of Fig. 2
     # ------------------------------------------------------------------
     def steps(self) -> List[int]:
         self._sync()
-        if not self._chunks:
-            return _distinct_sorted(self._step[: self._n])
         out: set = set()
         for seg in self._segments():
             out.update(_distinct_sorted(seg.step))
@@ -641,9 +625,6 @@ class IOTrace:
 
     def levels(self) -> List[int]:
         self._sync()
-        if not self._chunks:
-            lev = self._level[: self._n]
-            return _distinct_sorted(lev[lev >= 0])
         out: set = set()
         for seg in self._segments():
             lev = seg.level
@@ -652,37 +633,12 @@ class IOTrace:
 
     def total_bytes(self, kind: Optional[str] = None) -> int:
         self._sync()
-        if not self._chunks:
-            mask = self._kind_mask(kind)
-            nb = self._nbytes[: self._n]
-            return int(nb.sum() if mask is None else nb[mask].sum())
-        kid, never = self._kind_id_or_none(kind)
-        if never:
-            return 0
-        total = 0
-        for seg in self._segments():
-            nb = seg.nbytes if kid is None else seg.nbytes[seg.kind == kid]
-            total += int(nb.sum())
-        return total
+        return sum(int(nb.sum()) for (nb,) in self._filtered(("nbytes",), kind=kind))
 
     def bytes_per_step(self, kind: Optional[str] = None) -> Dict[int, int]:
         self._sync()
-        if not self._chunks:
-            step = self._step[: self._n]
-            nb = self._nbytes[: self._n]
-            mask = self._kind_mask(kind)
-            if mask is not None:
-                step, nb = step[mask], nb[mask]
-            uniq, sums = _grouped_sums(step, nb)
-            return dict(zip(uniq.tolist(), sums.tolist()))
-        kid, never = self._kind_id_or_none(kind)
-        if never:
-            return {}
         acc: Dict[int, int] = {}
-        for seg in self._segments():
-            mask = self._select(seg, kind_id=kid)
-            step = seg.step if mask is None else seg.step[mask]
-            nb = seg.nbytes if mask is None else seg.nbytes[mask]
+        for step, nb in self._filtered(("step", "nbytes"), kind=kind):
             uniq, sums = _grouped_sums(step, nb)
             for s, v in zip(uniq.tolist(), sums.tolist()):
                 acc[s] = acc.get(s, 0) + v
@@ -692,32 +648,13 @@ class IOTrace:
         self, step: Optional[int] = None, kind: Optional[str] = None
     ) -> Dict[int, int]:
         self._sync()
-        if not self._chunks:
-            lev = self._level[: self._n]
-            nb = self._nbytes[: self._n]
-            mask = None
-            if step is not None:
-                mask = self._step_mask(step)
-            kmask = self._kind_mask(kind)
-            if kmask is not None:
-                mask = kmask if mask is None else mask & kmask
-            if mask is not None:
-                lev, nb = lev[mask], nb[mask]
-            # Grouping by level already separates the negative (metadata)
-            # levels — drop them from the result instead of pre-masking.
-            uniq, sums = _grouped_sums(lev, nb)
-            return {l: v for l, v in zip(uniq.tolist(), sums.tolist()) if l >= 0}
-        kid, never = self._kind_id_or_none(kind)
-        if never:
-            return {}
         acc: Dict[int, int] = {}
-        for seg in self._segments():
-            mask = self._select(seg, step=step, kind_id=kid)
-            lev = seg.level if mask is None else seg.level[mask]
-            nb = seg.nbytes if mask is None else seg.nbytes[mask]
+        for lev, nb in self._filtered(("level", "nbytes"), step=step, kind=kind):
             uniq, sums = _grouped_sums(lev, nb)
             for l, v in zip(uniq.tolist(), sums.tolist()):
                 acc[l] = acc.get(l, 0) + v
+        # Grouping by level already separates the negative (metadata)
+        # levels — drop them from the result instead of pre-masking.
         return {l: v for l, v in sorted(acc.items()) if l >= 0}
 
     def bytes_per_rank(
@@ -735,105 +672,44 @@ class IOTrace:
         index fault.
         """
         self._sync()
-        if not self._chunks:
-            all_ranks = self._rank[: self._n]
-            nb = self._nbytes[: self._n]
-            mask = None
-            if step is not None:
-                mask = self._step_mask(step)
-            if level is not None:
-                lmask = self._level[: self._n] == level
-                mask = lmask if mask is None else mask & lmask
-            kmask = self._kind_mask(kind)
-            if kmask is not None:
-                mask = kmask if mask is None else mask & kmask
-            ranks = all_ranks if mask is None else all_ranks[mask]
-            if mask is not None:
-                nb = nb[mask]
-            if len(ranks) and int(ranks.min()) < 0:
+        # Default width covers every recorded rank (filtered or not),
+        # matching the event-list implementation.
+        width = nprocs if nprocs is not None else self._rank_hi + 1
+        acc = np.zeros(max(width, 0), dtype=np.int64)
+        for ranks, nb in self._filtered(("rank", "nbytes"), step, level, kind):
+            if not len(ranks):
+                continue
+            if int(ranks.min()) < 0:
                 bad = int(ranks[ranks < 0][0])
                 raise ValueError(f"record has negative rank {bad}")
-            # Default width covers every recorded rank (filtered or not),
-            # matching the event-list implementation.
-            n = nprocs if nprocs is not None else (
-                int(all_ranks.max()) + 1 if self._n else 0
-            )
-            if nprocs is not None and len(ranks) and int(ranks.max()) >= nprocs:
-                bad = int(ranks[ranks >= nprocs][0])
-                raise ValueError(
-                    f"trace contains rank {bad} but nprocs={nprocs}; "
-                    "pass nprocs > the largest recorded rank"
-                )
-            if n <= 0:
-                return np.zeros(0, dtype=np.int64)
-            return _int_bincount(ranks, nb, n)
-        kid, never = self._kind_id_or_none(kind)
-        width = nprocs if nprocs is not None else (
-            self._rank_hi + 1 if len(self) else 0
-        )
-        acc = np.zeros(max(width, 0), dtype=np.int64)
-        if not never:
-            for seg in self._segments():
-                mask = self._select(seg, step=step, level=level, kind_id=kid)
-                ranks = seg.rank if mask is None else seg.rank[mask]
-                if not len(ranks):
-                    continue
-                nb = seg.nbytes if mask is None else seg.nbytes[mask]
-                if int(ranks.min()) < 0:
-                    bad = int(ranks[ranks < 0][0])
-                    raise ValueError(f"record has negative rank {bad}")
-                if nprocs is not None and int(ranks.max()) >= nprocs:
-                    bad = int(ranks[ranks >= nprocs][0])
-                    raise ValueError(
-                        f"trace contains rank {bad} but nprocs={nprocs}; "
-                        "pass nprocs > the largest recorded rank"
-                    )
-                acc += _int_bincount(ranks, nb, len(acc))
-        if width <= 0:
-            return np.zeros(0, dtype=np.int64)
+            if nprocs is not None:
+                _check_rank_bound(ranks, nprocs)
+            acc += _int_bincount(ranks, nb, len(acc))
         return acc
 
     def bytes_step_level_rank(self) -> Dict[Tuple[int, int, int], int]:
         """The full (timestep, level, task) -> bytes mapping (Eq. 2's y)."""
         self._sync()
-        if not self._chunks:
-            n = self._n
-            return _triple_sums(
-                self._step[:n], self._level[:n], self._rank[:n], self._nbytes[:n]
-            )
         acc: Dict[Tuple[int, int, int], int] = {}
         for seg in self._segments():
-            for key, v in _triple_sums(
-                seg.step, seg.level, seg.rank, seg.nbytes
-            ).items():
+            sums = _triple_sums(seg.step, seg.level, seg.rank, seg.nbytes)
+            if not acc:
+                acc = sums  # adopt the first segment's dict, no merge
+                continue
+            for key, v in sums.items():
                 acc[key] = acc.get(key, 0) + v
         return acc
 
     def file_count(self, step: Optional[int] = None) -> int:
         self._sync()
-        if not self._chunks:
-            paths = self._path[: self._n]
-            if step is not None:
-                paths = paths[self._step_mask(step)]
-            if len(paths) == 0:
-                return 0
-            # Path ids are dense by construction: count distinct via bincount.
-            return int(np.count_nonzero(
-                np.bincount(paths, minlength=len(self._path_names))
-            ))
-        present = np.zeros(len(self._path_names), dtype=bool)
-        for seg in self._segments():
-            paths = seg.path if step is None else seg.path[seg.step == step]
-            if len(paths):
-                present[paths] = True
-        return int(np.count_nonzero(present))
+        # Path ids are dense by construction: count distinct via bincount.
+        counts = np.zeros(len(self._path_names), dtype=np.int64)
+        for (paths,) in self._filtered(("path",), step=step):
+            counts += np.bincount(paths, minlength=len(counts))
+        return int(np.count_nonzero(counts))
 
     def cumulative_bytes_by_step(self) -> Tuple[np.ndarray, np.ndarray]:
         """(steps, cumulative bytes) series — the y-axis of Fig. 5."""
-        self._sync()
-        if not self._chunks:
-            uniq, sums = _grouped_sums(self._step[: self._n], self._nbytes[: self._n])
-            return uniq.astype(np.int64), np.cumsum(sums.astype(np.float64))
         per_step = self.bytes_per_step()  # already sorted by step
         steps = np.fromiter(per_step.keys(), dtype=np.int64, count=len(per_step))
         sums = np.fromiter(per_step.values(), dtype=np.int64, count=len(per_step))

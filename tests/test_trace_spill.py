@@ -5,7 +5,10 @@ trace fed the same records — every aggregation, the record iterator,
 and the materialized columns — at chunk boundaries (n = k*chunk and
 k*chunk ± 1), with record/record_batch interleaving, and under
 ``REPRO_SANITIZE=1`` where sealed chunk files are crc-verified on every
-re-open.
+re-open.  Both share one aggregation path, so their kind-filtered
+aggregations are also checked against a plain loop over the input rows.
+Spill isolation is pinned too: a ``columns()`` snapshot survives a later
+seal, and a second trace cannot seal into a used ``spill_dir``.
 """
 
 import os
@@ -137,6 +140,30 @@ class TestSpillEquivalence:
         assert np.array_equal(nb, np.asarray(rows[3][:8], dtype=np.int64))
 
 
+class TestSpillIsolation:
+    def test_columns_snapshot_survives_later_seal(self, tmp_path):
+        # Sealing shifts the unsealed tail down inside the live arrays; a
+        # snapshot taken before the seal must not see that shift.
+        tr = IOTrace(spill_dir=tmp_path, chunk_records=4)
+        for i in range(3):
+            tr.record(i, 0, 0, 1, "p")
+        cols = tr.columns()
+        for i in range(3, 6):
+            tr.record(i, 0, 0, 1, "p")
+        tr.total_bytes()
+        assert tr.spilled_chunks == 1
+        assert cols.step.tolist() == [0, 1, 2]
+
+    def test_shared_spill_dir_is_refused(self, tmp_path):
+        a = IOTrace(spill_dir=tmp_path, chunk_records=2)
+        a.record_batch(0, 0, 0, [100, 100], "a")
+        assert a.spilled_chunks == 1
+        b = IOTrace(spill_dir=tmp_path, chunk_records=2)
+        with pytest.raises(FileExistsError, match="chunk-000000"):
+            b.record_batch(0, 0, 0, [7, 7], "b")
+        assert a.total_bytes() == 200
+
+
 class TestSpillSanitize:
     def fill_sealed(self, tmp_path):
         tr = IOTrace(spill_dir=tmp_path, chunk_records=32)
@@ -211,3 +238,66 @@ class TestSmallAppendPath:
             tr.record(i, 0, 0, 1, "p")
         assert len(tr) == n
         assert np.array_equal(tr.columns().step, np.arange(n))
+
+
+KINDS = ("data", "metadata", "never-seen")
+
+
+class TestKindFilteredOracle:
+    """Kind-filtered aggregations against a plain loop over the input rows.
+
+    Spilled and unspilled traces share one aggregation path, so checking
+    one against the other cannot catch a defect in it; the oracle here
+    never touches a trace.
+    """
+
+    ROWS = random_rows(700, seed=11)
+
+    @pytest.fixture(params=["unspilled", "spilled"])
+    def trace(self, request, tmp_path):
+        spill_dir = tmp_path if request.param == "spilled" else None
+        tr = fill_looped(IOTrace(spill_dir=spill_dir, chunk_records=128), self.ROWS)
+        tr.total_bytes()
+        assert tr.spilled_chunks == (5 if spill_dir else 0)
+        return tr
+
+    def rows(self, step=None, level=None, kind=None):
+        for s, l, r, nb, _, k in zip(*self.ROWS):
+            if ((step is None or s == step) and (level is None or l == level)
+                    and (kind is None or k == kind)):
+                yield int(s), int(l), int(r), int(nb)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_total_bytes(self, trace, kind):
+        assert trace.total_bytes(kind) == sum(nb for *_, nb in self.rows(kind=kind))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bytes_per_step(self, trace, kind):
+        want = {}
+        for s, _, _, nb in self.rows(kind=kind):
+            want[s] = want.get(s, 0) + nb
+        assert list(trace.bytes_per_step(kind=kind).items()) == sorted(want.items())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("step", [None, 0, 5])
+    def test_bytes_per_level(self, trace, step, kind):
+        want = {}
+        for _, l, _, nb in self.rows(step=step, kind=kind):
+            if l >= 0:
+                want[l] = want.get(l, 0) + nb
+        got = trace.bytes_per_level(step=step, kind=kind)
+        assert list(got.items()) == sorted(want.items())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("step,level,nprocs", [
+        (None, None, None), (3, None, 40), (3, 1, 40), (None, -1, None),
+    ])
+    def test_bytes_per_rank(self, trace, step, level, nprocs, kind):
+        # Without nprocs the width covers every recorded rank, filtered or not.
+        width = nprocs if nprocs is not None else int(max(self.ROWS[2])) + 1
+        want = [0] * width
+        for _, _, r, nb in self.rows(step=step, level=level, kind=kind):
+            want[r] += nb
+        got = trace.bytes_per_rank(step=step, level=level, nprocs=nprocs, kind=kind)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
