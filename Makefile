@@ -18,12 +18,13 @@ test-service:
 
 # The chaos suite with injection armed and the runtime sanitizer on:
 # fault-policy retries, supervised-pool recovery (kills, hangs, poison
-# cases), sharded-store crash consistency, the two-process shared
-# sweep, and the serving-side gate (deadlines, backpressure, breaker,
-# kill+restart-from-snapshot bit-identity) — plus the executor unit
-# tests to prove supervision does not regress the clean path.
+# cases), store crash consistency on both layouts (single file and
+# shard directory) and the store-corruption suite, the two-process
+# shared sweep, and the serving-side gate (deadlines, backpressure,
+# breaker, kill+restart-from-snapshot bit-identity) — plus the executor
+# unit tests to prove supervision does not regress the clean path.
 chaos:
-	REPRO_FAULTS=1 REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_chaos.py tests/test_faults.py tests/test_campaign_executor.py tests/test_service_chaos.py -q
+	REPRO_FAULTS=1 REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_chaos.py tests/test_faults.py tests/test_campaign_executor.py tests/test_service_chaos.py tests/test_service_faults.py -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q -o python_files='bench_*.py'

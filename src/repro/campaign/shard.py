@@ -1,263 +1,63 @@
-"""Sharded multi-writer :class:`~repro.campaign.store.ResultStore`.
+"""The sharded layout of :class:`~repro.campaign.store.ResultStore`.
 
 ROADMAP item 2 partitions a sweep across N independent executor
-*processes* sharing one store.  A single JSONL file survives concurrent
-appends (each put is one O_APPEND ``os.write``), but every reader must
-rescan the whole file and compaction by any writer clobbers the others.
-:class:`ShardedResultStore` spreads entries over ``shard-NNN.jsonl``
-files keyed by a stable hash of the cache key:
+*processes* sharing one store.  A store opened on a directory spreads
+its entries over ``shard-NNN.jsonl`` files keyed by a stable hash of
+the cache key, with a ``_meta.json`` pinning the shard count; the
+layout and its reader, writer and compactor live in
+:mod:`repro.campaign.store`, shared with the single-file layout.
 
-- **puts** go to one shard as a single O_APPEND write under an
-  exclusive ``fcntl`` advisory lock;
-- **reads** are incremental — :meth:`refresh` tails each shard from the
-  last consumed byte offset under a shared lock, so polling for other
-  writers' results costs O(new bytes), not O(store);
-- **compaction** (``invalidate``/``clear``) rewrites each shard
-  crash-consistently (tmp + fsync + ``os.replace``) and is the one
-  single-writer operation: run it when no other process is writing.
-
-A ``_meta.json`` at the shard root pins the shard count, so every
-opener agrees on the layout regardless of the ``nshards`` it asked for.
-:func:`migrate_to_sharded` / :func:`migrate_to_flat` convert between
-the flat single-file layout and the sharded one, preserving entries
-from other code versions byte-for-byte.
+This module keeps :data:`ShardedResultStore`, the historical name of
+that same class, and :func:`migrate_to_sharded` /
+:func:`migrate_to_flat`, which convert between the single-file layout
+and the sharded one, preserving entries from other code versions.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import warnings
-import zlib
-from typing import Dict, List, Optional
+from typing import Optional
 
-from .records import RunRecord
-from .store import (
-    ResultStore,
-    StoreCorruptionWarning,
-    _append_entry,
-    _classify_line,
-    _entry_line,
-    _flock_shared,
-)
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - POSIX-only container
-    fcntl = None  # type: ignore[assignment]
+from .store import DEFAULT_NSHARDS, ResultStore, _write_lines
 
 __all__ = ["ShardedResultStore", "migrate_to_flat", "migrate_to_sharded"]
 
-SHARD_FORMAT = 1
-DEFAULT_NSHARDS = 16
-_META_NAME = "_meta.json"
-
-
-class ShardedResultStore(ResultStore):
-    """A :class:`ResultStore` spread over lock-protected shard files.
-
-    Same API and key semantics as the flat store (``get``/``put``/
-    ``records``/``invalidate``/...), plus :meth:`refresh` to ingest
-    entries other executor processes appended since the last read.
-    ``root`` is a directory; it is created on first open and stamped
-    with a ``_meta.json`` fixing the shard count.
-    """
-
-    def __init__(self, root: str, nshards: int = DEFAULT_NSHARDS,
-                 code_version: Optional[str] = None) -> None:
-        if nshards < 1:
-            raise ValueError(f"nshards must be >= 1, got {nshards}")
-        self.root = os.path.abspath(root)
-        os.makedirs(self.root, exist_ok=True)
-        self.nshards = self._pin_meta(nshards)
-        # per-shard consumed byte offsets and trailing partial-line bytes
-        self._offsets: Dict[int, int] = {}
-        self._leftover: Dict[int, bytes] = {}
-        super().__init__(path=None, code_version=code_version)
-        self.refresh()
-
-    def _pin_meta(self, nshards: int) -> int:
-        """Create or read ``_meta.json``; the on-disk shard count wins
-        over the constructor argument so all openers agree.
-
-        Concurrent first-openers race to create the file; ``os.link``
-        makes exactly one win atomically, and every opener then reads
-        the winner's pinned count.
-        """
-        meta_path = os.path.join(self.root, _META_NAME)
-        if not os.path.exists(meta_path):
-            tmp = f"{meta_path}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"format": SHARD_FORMAT, "nshards": nshards}, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            try:
-                os.link(tmp, meta_path)
-            except FileExistsError:
-                pass  # another opener won the race; adopt its pin
-            finally:
-                os.unlink(tmp)
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        pinned = int(meta["nshards"])
-        if pinned < 1:
-            raise ValueError(
-                f"{meta_path}: pinned nshards must be >= 1, got {pinned}")
-        return pinned
-
-    # -- layout --------------------------------------------------------
-    def shard_of(self, key: str) -> int:
-        """Stable shard index for a cache key (crc32, any string)."""
-        return zlib.crc32(key.encode("utf-8")) % self.nshards
-
-    def shard_path(self, index: int) -> str:
-        """Filesystem path of one shard file."""
-        return os.path.join(self.root, f"shard-{index:03d}.jsonl")
-
-    # -- reading -------------------------------------------------------
-    def refresh(self) -> int:
-        """Ingest lines appended to any shard since the last read.
-
-        Tails each shard from its consumed byte offset under a shared
-        advisory lock (writers hold the exclusive lock only for one
-        line's write, so readers never see a line mid-write).  Bytes
-        after the final newline are buffered as a pending fragment and
-        glued to the next read — a crashed writer's torn line therefore
-        surfaces as one corrupt line once more data lands, or stays
-        pending forever, matching the flat store's skip semantics.
-        Returns the number of newly ingested current-version entries.
-
-        The flat :meth:`~repro.campaign.store.ResultStore.refresh` is
-        the single-file version of this contract (one ``os.stat`` warm
-        path, byte-offset tails, idempotent re-ingest) — the serving
-        layer calls whichever the attached store provides before each
-        lookup batch.
-        """
-        n_new = 0
-        n_corrupt = 0
-        for index in range(self.nshards):
-            path = self.shard_path(index)
-            try:
-                size = os.path.getsize(path)
-            except OSError:
-                continue
-            offset = self._offsets.get(index, 0)
-            if size < offset:
-                # shard was compacted/truncated under us: re-read it all
-                # (compaction preserves entries, so re-ingest is idempotent)
-                offset = 0
-                self._leftover[index] = b""
-            elif size == offset:
-                continue
-            with open(path, "rb") as fh:
-                if fcntl is not None:
-                    _flock_shared(fh.fileno(), path)
-                try:
-                    fh.seek(offset)
-                    blob = self._leftover.get(index, b"") + fh.read()
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-            self._offsets[index] = size
-            lines = blob.split(b"\n")
-            self._leftover[index] = lines.pop()
-            for raw in lines:
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                kind, entry = _classify_line(line, self.code_version)
-                if kind == "corrupt":
-                    n_corrupt += 1
-                elif kind == "foreign":
-                    self._foreign[entry["key"]] = entry
-                else:
-                    self._entries[entry["key"]] = entry
-                    n_new += 1
-        if n_corrupt:
-            warnings.warn(
-                StoreCorruptionWarning(
-                    f"{self.root}: skipped {n_corrupt} corrupt/truncated "
-                    f"shard line(s); {len(self._entries)} intact result(s) "
-                    f"indexed (a torn line is the signature of a writer "
-                    f"that crashed mid-put)"
-                ),
-                stacklevel=2,
-            )
-        return n_new
-
-    # -- mutation ------------------------------------------------------
-    def put(self, key: str, record: RunRecord, seconds: float = 0.0) -> None:
-        """Insert/overwrite one entry in its shard (atomic locked append)."""
-        entry = self._make_entry(key, record, seconds)
-        self._entries[key] = entry
-        _append_entry(self.shard_path(self.shard_of(key)), entry)
-
-    def _rewrite(self) -> None:
-        """Compact every shard crash-consistently (tmp+fsync+replace).
-
-        Single-writer by contract: other processes appending during a
-        compaction would have their lines replaced away.  Offsets are
-        reset to the rewritten sizes so the next :meth:`refresh` does
-        not re-read our own compaction.
-        """
-        groups: Dict[int, List[Dict]] = {}
-        for entry in self._snapshot():
-            groups.setdefault(self.shard_of(entry["key"]), []).append(entry)
-        for index in range(self.nshards):
-            path = self.shard_path(index)
-            entries = groups.get(index, [])
-            if not entries and not os.path.exists(path):
-                continue
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                for entry in entries:
-                    fh.write(_entry_line(entry))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            self._offsets[index] = os.path.getsize(path)
-            self._leftover[index] = b""
+#: The one store class; a directory path opens the sharded layout.
+ShardedResultStore = ResultStore
 
 
 def migrate_to_sharded(flat_path: str, root: str,
                        nshards: int = DEFAULT_NSHARDS,
-                       code_version: Optional[str] = None) -> ShardedResultStore:
-    """Convert a flat JSONL store into a sharded root; returns the
-    opened :class:`ShardedResultStore`.
+                       code_version: Optional[str] = None) -> ResultStore:
+    """Convert a single-file JSONL store into a shard directory; returns
+    the opened store.
 
     Every intact entry — including those from other code versions — is
-    re-appended to its shard; later-line-wins semantics are preserved
-    because entries land in original file order.  Refuses to migrate
-    into a root that already holds entries.
+    written to its shard, the latest line per key winning as on load.
+    Refuses to migrate into a root that already holds entries.
     """
     src = ResultStore(flat_path, code_version=code_version)
-    dst = ShardedResultStore(root, nshards=nshards, code_version=code_version)
+    os.makedirs(root, exist_ok=True)  # a directory opens as shards
+    dst = ResultStore(root, nshards=nshards, code_version=code_version)
     if len(dst) or dst._foreign:
         raise ValueError(
             f"migrate_to_sharded: target root {root!r} already holds entries")
-    for entry in src._snapshot():
-        _append_entry(dst.shard_path(dst.shard_of(entry["key"])), entry)
-    dst.refresh()
+    dst._entries.update(src._entries)
+    dst._foreign.update(src._foreign)
+    dst._rewrite()
     return dst
 
 
 def migrate_to_flat(root: str, flat_path: str,
                     code_version: Optional[str] = None) -> ResultStore:
-    """Collapse a sharded root back into one flat JSONL file; returns
-    the opened :class:`ResultStore`.
+    """Collapse a shard directory back into one JSONL file; returns the
+    opened store.
 
     Foreign-version entries are carried over.  Written tmp-first and
     ``os.replace``d, so an existing file at ``flat_path`` is swapped
     atomically.
     """
-    src = ShardedResultStore(root, code_version=code_version)
-    parent = os.path.dirname(os.path.abspath(flat_path))
-    os.makedirs(parent, exist_ok=True)
-    tmp = flat_path + ".tmp"
-    with open(tmp, "wb") as fh:
-        for entry in src._snapshot():
-            fh.write(_entry_line(entry))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, flat_path)
+    src = ResultStore(root, code_version=code_version)
+    os.makedirs(os.path.dirname(os.path.abspath(flat_path)), exist_ok=True)
+    _write_lines(flat_path, src._snapshot())
     return ResultStore(flat_path, code_version=code_version)

@@ -3,11 +3,30 @@
 A :class:`ResultStore` maps a **cache key** — a SHA-256 digest over the
 case's inputs, job shape, engine, and the code version — to the
 :class:`~repro.campaign.records.RunRecord` produced by executing that
-case.  Storage is a JSON-lines file: one entry per line, append-only on
-``put``, compacted on ``invalidate``/``clear``.  Append-plus-flush makes
+case.  Storage is JSON lines: one entry per line, append-only on
+``put``, compacted on ``invalidate``/``clear``.  Append-plus-fsync makes
 an interrupted sweep resumable: every completed case is already on disk,
-and a torn final line (the write that was interrupted) is skipped on
-load.
+and a torn line (the write that was interrupted) is skipped, with a
+:class:`StoreCorruptionWarning`, on load.
+
+On-disk layouts
+---------------
+The data is a list of JSONL files, in one of two layouts taken from the
+path: an existing directory, or a new path without a ``.jsonl`` suffix,
+holds ``shard-NNN.jsonl`` files (entries spread by a crc32 of the key,
+shard count pinned by ``_meta.json``), so N executor *processes*
+sharing one store spread their puts over separate files and locks; an
+existing file, or a new ``*.jsonl`` path, is a single file
+(``nshards == 1``).  Both layouts run the same code:
+
+- **puts** append one line to one file as a single O_APPEND write under
+  an exclusive ``fcntl`` advisory lock;
+- **reads** are incremental — :meth:`ResultStore.refresh` tails each
+  file from its consumed byte offset under a shared lock, so polling for
+  other writers' results costs O(new bytes), not O(store);
+- **compaction** (``invalidate``/``clear``) rewrites each file
+  crash-consistently (tmp + fsync + ``os.replace``) and is the one
+  single-writer operation: run it when no other process is writing.
 
 Key semantics
 -------------
@@ -26,10 +45,11 @@ import json
 import os
 import time
 import warnings
+import zlib
 from dataclasses import asdict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-try:  # advisory locks for multi-writer shards; absent on non-POSIX
+try:  # advisory locks for multi-writer stores; absent on non-POSIX
     import fcntl
 except ImportError:  # pragma: no cover - POSIX-only container
     fcntl = None  # type: ignore[assignment]
@@ -41,6 +61,9 @@ from .records import RunRecord, record_from_dict
 __all__ = ["case_key", "ResultStore", "StoreCorruptionWarning"]
 
 STORE_FORMAT = 1
+SHARD_FORMAT = 1
+DEFAULT_NSHARDS = 16
+_META_NAME = "_meta.json"
 
 
 class StoreCorruptionWarning(UserWarning):
@@ -72,43 +95,27 @@ def _entry_line(entry: Dict) -> bytes:
 _FLOCK_DEADLINE_S = 10.0
 
 
-def _flock_exclusive(fd: int, path: str) -> None:
-    """Take ``LOCK_EX`` without risking an unbounded hang.
+def _flock(fd: int, path: str, op: int) -> None:
+    """Take ``op`` (``LOCK_EX`` or ``LOCK_SH``) without risking an
+    unbounded hang.
 
     ``flock`` lives on the *open file description*, so a child process
     forked while a writer holds the lock inherits it — and an idle,
     long-lived child (a worker-pool process) then pins it forever.
     Polling ``LOCK_NB`` under a deadline turns that pathology into a
     loud :class:`TimeoutError` (surfaced by the executor as a
-    :class:`~repro.campaign.executor.StorePersistWarning`) instead of a
-    frozen sweep.
+    :class:`~repro.campaign.executor.StorePersistWarning`, and by the
+    serving layer as a store fault) instead of a frozen sweep.
     """
     deadline = time.monotonic() + _FLOCK_DEADLINE_S
     while True:
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(fd, op | fcntl.LOCK_NB)
             return
         except OSError:
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"could not lock {path!r} within "
-                    f"{_FLOCK_DEADLINE_S:.0f}s; a dead or forked writer "
-                    f"may still hold the advisory lock") from None
-            time.sleep(0.005)
-
-
-def _flock_shared(fd: int, path: str) -> None:
-    """``LOCK_SH`` with the same deadline discipline as
-    :func:`_flock_exclusive`, for readers tailing multi-writer shards."""
-    deadline = time.monotonic() + _FLOCK_DEADLINE_S
-    while True:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
-            return
-        except OSError:
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"could not read-lock {path!r} within "
                     f"{_FLOCK_DEADLINE_S:.0f}s; a dead or forked writer "
                     f"may still hold the advisory lock") from None
             time.sleep(0.005)
@@ -120,10 +127,13 @@ def _append_entry(path: str, entry: Dict) -> None:
     POSIX O_APPEND makes the seek+write atomic, and issuing the whole
     line in one ``write`` call keeps concurrent writers from
     interleaving partial lines (the buffered ``open("a")`` + ``write`` +
-    ``flush`` path could split a line over the pipe-buffer size).  An
-    advisory ``flock`` is taken when available so shard readers under
-    ``LOCK_SH`` never observe a half-written line, but correctness
-    against other *writers* rests on the single O_APPEND write alone.
+    ``flush`` path could split a line over the pipe-buffer size).  The
+    exclusive advisory ``flock`` is held for the whole line, so readers
+    under ``LOCK_SH`` never observe a write in progress, and no other
+    writer appends while a failed put rolls back: a short write, or an
+    ``OSError`` from the write or the fsync, truncates the file back to
+    its size before the put and raises, since a partial line left
+    behind would swallow the next put's line.
 
     This is also the store's fault-injection point: under
     ``REPRO_FAULTS`` a selected case's line may be torn (a leading
@@ -141,10 +151,20 @@ def _append_entry(path: str, entry: Dict) -> None:
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
     try:
         if fcntl is not None:
-            _flock_exclusive(fd, path)
+            _flock(fd, path, fcntl.LOCK_EX)
         try:
-            os.write(fd, data)
-            os.fsync(fd)
+            size = os.fstat(fd).st_size
+            written = 0
+            try:
+                written = os.write(fd, data)
+                if written != len(data):
+                    raise OSError("short write")
+                os.fsync(fd)
+            except OSError as exc:
+                os.ftruncate(fd, size)
+                raise OSError(
+                    f"append to {path!r} failed after {written} of "
+                    f"{len(data)} bytes ({exc}); rolled back") from exc
         finally:
             if fcntl is not None:
                 fcntl.flock(fd, fcntl.LOCK_UN)
@@ -152,21 +172,47 @@ def _append_entry(path: str, entry: Dict) -> None:
         os.close(fd)
 
 
-def _classify_line(line: str, code_version: str) -> Tuple[str, Optional[Dict]]:
-    """Parse one JSONL line -> ``("ok"|"foreign"|"corrupt", entry|None)``.
+def _write_lines(path: str, entries: Iterable[Dict]) -> os.stat_result:
+    """Replace ``path`` crash-consistently (tmp + fsync + ``os.replace``)
+    with one line per entry; returns the new file's stat."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        for entry in entries:
+            fh.write(_entry_line(entry))
+        fh.flush()
+        os.fsync(fh.fileno())
+        st = os.fstat(fh.fileno())
+    os.replace(tmp, path)
+    return st
 
-    Shared by the flat loader and the sharded incremental reader so both
-    apply identical corruption and version semantics.
+
+def _pin_meta(root: str, nshards: int) -> int:
+    """Create or read ``root/_meta.json``; the on-disk shard count wins
+    over the constructor argument so all openers agree.
+
+    Concurrent first-openers race to create the file; ``os.link`` makes
+    exactly one win atomically, and every opener then reads the winner's
+    pinned count.
     """
-    try:
-        entry = json.loads(line)
-    except json.JSONDecodeError:
-        return "corrupt", None
-    if not isinstance(entry, dict) or "key" not in entry or "record" not in entry:
-        return "corrupt", None
-    if entry.get("code_version") != code_version:
-        return "foreign", entry
-    return "ok", entry
+    meta_path = os.path.join(root, _META_NAME)
+    if not os.path.exists(meta_path):
+        tmp = f"{meta_path}.tmp.{os.getpid()}"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"format": SHARD_FORMAT, "nshards": nshards}, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        try:
+            os.link(tmp, meta_path)
+        except FileExistsError:
+            pass  # another opener won the race; adopt its pin
+        finally:
+            os.unlink(tmp)
+    with open(meta_path, "r", encoding="utf-8") as fh:
+        pinned = int(json.load(fh)["nshards"])
+    if pinned < 1:
+        raise ValueError(
+            f"{meta_path}: pinned nshards must be >= 1, got {pinned}")
+    return pinned
 
 
 def _canonical(obj):
@@ -222,140 +268,174 @@ def case_key(case: Case, code_version: Optional[str] = None,
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+@dataclasses.dataclass
+class _Cursor:
+    """One file of a store, and how far the tail reader got in it: the
+    bytes consumed, the partial line after the last newline, and the
+    inode and mtime those bytes were read at (a new inode, or a new
+    mtime without growth, means another opener rewrote the file)."""
+
+    path: str
+    offset: int = 0
+    pending: bytes = b""
+    ino: int = -1
+    mtime_ns: int = -1
+
+
 class ResultStore:
     """JSON-lines store of campaign results, keyed by :func:`case_key`.
 
+    ``path`` picks the layout (module docstring): an existing directory
+    or a new path without a ``.jsonl`` suffix is a shard directory,
+    created with ``nshards`` shard files unless its ``_meta.json``
+    already pins a count; anything else is a single file.
     ``path=None`` gives a purely in-memory store (same API, no
     persistence) — useful for tests and one-shot cache semantics.
+    :meth:`refresh` ingests entries other openers appended since the
+    last read.
     """
 
-    def __init__(self, path: Optional[str] = None, code_version: Optional[str] = None) -> None:
+    def __init__(self, path: Optional[str] = None,
+                 nshards: int = DEFAULT_NSHARDS,
+                 code_version: Optional[str] = None) -> None:
+        if nshards < 1:
+            raise ValueError(f"nshards must be >= 1, got {nshards}")
         self.path = path
         self.code_version = code_version or _code_version()
         self._entries: Dict[str, Dict] = {}
         # other-version entries: preserved on disk, never served
         self._foreign: Dict[str, Dict] = {}
-        # incremental-read cursor (see refresh): consumed byte offset,
-        # trailing partial-line bytes, and the mtime of the last scan
-        self._tail_offset = 0
-        self._tail_pending = b""
-        self._tail_mtime_ns = -1
-        if path is not None:
+        self.root: Optional[str] = None  # the shard directory, if any
+        self.nshards = 1
+        self._cursors: List[_Cursor] = []  # one per file; none in memory
+        if path is None:
+            return
+        if os.path.isdir(path) or not (os.path.exists(path)
+                                       or path.endswith(".jsonl")):
+            self.root = os.path.abspath(path)
+            os.makedirs(self.root, exist_ok=True)
+            self.nshards = _pin_meta(self.root, nshards)
+            self._cursors = [
+                _Cursor(os.path.join(self.root, f"shard-{i:03d}.jsonl"))
+                for i in range(self.nshards)]
+        else:
             # fail fast here, not at the first mid-sweep put
-            parent = os.path.dirname(os.path.abspath(path))
-            os.makedirs(parent, exist_ok=True)
-            if os.path.exists(path):
-                self._load(path)
-
-    # -- loading -------------------------------------------------------
-    def _load(self, path: str) -> None:
-        """Read every intact line, skipping torn/corrupt ones
-        (interrupted put).  Entries from other code versions are kept
-        on disk — another checkout may still need them — but excluded
-        from the in-memory index, since their keys can never hit under
-        this version.  If lines were superseded or torn, the file is
-        compacted so a long-lived store doesn't grow without bound."""
-        n_lines = 0
-        n_corrupt = 0
-        st = os.stat(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                n_lines += 1
-                kind, entry = _classify_line(line, self.code_version)
-                if kind == "corrupt":
-                    n_corrupt += 1
-                elif kind == "foreign":
-                    self._foreign[entry["key"]] = entry
-                else:
-                    # later lines win: a re-put after invalidation supersedes
-                    self._entries[entry["key"]] = entry
-        if n_corrupt:
-            warnings.warn(
-                StoreCorruptionWarning(
-                    f"{path}: skipped {n_corrupt} corrupt/truncated JSONL "
-                    f"line(s) of {n_lines}; {len(self._entries)} intact "
-                    f"result(s) loaded (a single torn final line is the "
-                    f"signature of an interrupted put)"
-                ),
-                stacklevel=3,
-            )
-        self._tail_offset = st.st_size
-        self._tail_mtime_ns = st.st_mtime_ns
-        if n_lines != len(self._entries) + len(self._foreign):
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            self._cursors = [_Cursor(path)]
+        _, n_lines, n_corrupt = self._read()
+        # writers hold LOCK_EX for a whole line, so a fragment still
+        # pending after this locked read is a torn line, not a write in
+        # progress
+        n_torn = sum(1 for cur in self._cursors if cur.pending.strip())
+        self._warn_corrupt(n_corrupt + n_torn, n_lines + n_torn)
+        # Superseded or torn lines are compacted away on open for a
+        # single file only: in a shard directory other processes may be
+        # appending, and compaction is its one single-writer operation.
+        if self.root is None and (n_lines + n_torn
+                                  != len(self._entries) + len(self._foreign)):
             self._rewrite()
 
-    def refresh(self) -> int:
-        """Ingest lines appended to the file since the last scan.
+    # -- layout --------------------------------------------------------
+    def shard_of(self, key: str) -> int:
+        """Stable file index for a cache key (crc32, any string)."""
+        return zlib.crc32(key.encode("utf-8")) % self.nshards
 
-        The flat-store version of the sharded tail-read idiom
-        (:meth:`~repro.campaign.shard.ShardedResultStore.refresh`): the
-        warm path is a single ``os.stat`` — when neither size nor mtime
-        moved since the last scan, nothing is opened or read — and new
-        data is tailed from the consumed byte offset under a shared
-        advisory lock, with bytes after the final newline buffered as a
-        pending fragment.  A file that shrank, or changed mtime without
-        growing (a compaction by another process), is re-read from
-        offset zero.  Returns the number of newly ingested
-        current-version entries; corrupt tail lines are skipped with a
-        :class:`StoreCorruptionWarning`.
+    def shard_path(self, index: int) -> str:
+        """Filesystem path of one file: a shard, or the single file."""
+        return self._cursors[index].path
+
+    # -- reading -------------------------------------------------------
+    def refresh(self) -> int:
+        """Ingest lines appended to any file since the last read.
+
+        The warm path is one ``os.stat`` per file: a file whose inode,
+        size and mtime match its cursor is not opened.  A changed file
+        is read under a shared advisory lock, from its consumed byte
+        offset up to the size ``fstat`` reports under that lock, so a
+        put landing between the stat and the lock is read exactly once.
+        Bytes after the final newline are kept as a pending fragment and
+        glued to the next read.  A file another opener compacted
+        (replaced, shrunk, or rewritten at the same size with a new
+        mtime) resets every cursor and the index, and everything is
+        re-read — re-ingest is idempotent by key, and keys the
+        compaction dropped stop being served.  Returns the number of
+        newly ingested current-version entries; corrupt lines are
+        skipped with a :class:`StoreCorruptionWarning`.
         """
-        if self.path is None:
-            return 0
-        try:
-            st = os.stat(self.path)
-        except OSError:
-            return 0  # unlinked under us: serve what is already indexed
-        if st.st_size == self._tail_offset and st.st_mtime_ns == self._tail_mtime_ns:
-            return 0
-        if st.st_size < self._tail_offset or st.st_size == self._tail_offset:
-            # shrank (truncation) or same-size mtime change (compaction):
-            # re-read everything — re-ingest is idempotent by key
-            self._tail_offset = 0
-            self._tail_pending = b""
-            self._entries.clear()
-            self._foreign.clear()
-        with open(self.path, "rb") as fh:
-            if fcntl is not None:
-                _flock_shared(fh.fileno(), self.path)
+        n_new, n_lines, n_corrupt = self._read()
+        self._warn_corrupt(n_corrupt, n_lines)
+        return n_new
+
+    def _read(self) -> Tuple[int, int, int]:
+        """The one tail reader: ingest every file past its cursor.
+        Returns (new current-version entries, lines read, corrupt lines)."""
+        lines: List[bytes] = []
+        for cur in self._cursors:
+            path = cur.path
             try:
-                fh.seek(self._tail_offset)
-                data = fh.read()
-            finally:
+                st = os.stat(path)
+            except OSError:
+                continue  # not written yet, or unlinked under us
+            if (st.st_ino, st.st_size, st.st_mtime_ns) == (
+                    cur.ino, cur.offset, cur.mtime_ns):
+                continue
+            with open(path, "rb") as fh:
                 if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-        blob = self._tail_pending + data
-        self._tail_offset += len(data)
-        self._tail_mtime_ns = st.st_mtime_ns
-        lines = blob.split(b"\n")
-        self._tail_pending = lines.pop()
-        n_new = 0
-        n_corrupt = 0
+                    _flock(fh.fileno(), path, fcntl.LOCK_SH)
+                try:
+                    st = os.fstat(fh.fileno())
+                    rewritten = cur.offset > 0 and (
+                        st.st_ino != cur.ino or st.st_size < cur.offset
+                        or (st.st_size == cur.offset
+                            and st.st_mtime_ns != cur.mtime_ns))
+                    fh.seek(cur.offset)
+                    data = b"" if rewritten else fh.read(st.st_size - cur.offset)
+                finally:
+                    if fcntl is not None:
+                        fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+            if rewritten:  # compacted by another opener: start over
+                self._cursors = [_Cursor(c.path) for c in self._cursors]
+                self._entries.clear()
+                self._foreign.clear()
+                return self._read()
+            lines.extend((cur.pending + data).split(b"\n"))
+            cur.pending = lines.pop()
+            cur.offset, cur.ino, cur.mtime_ns = (
+                st.st_size, st.st_ino, st.st_mtime_ns)
+        n_new = n_lines = n_corrupt = 0
         for raw in lines:
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
-            kind, entry = _classify_line(line, self.code_version)
-            if kind == "corrupt":
+            n_lines += 1
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                entry = None
+            if (not isinstance(entry, dict) or "key" not in entry
+                    or "record" not in entry):
                 n_corrupt += 1
-            elif kind == "foreign":
+            elif entry.get("code_version") != self.code_version:
+                # its key can never hit under this version, but another
+                # checkout may still need it: kept on disk, not served
                 self._foreign[entry["key"]] = entry
             else:
+                # later lines win: a re-put after invalidation supersedes
                 self._entries[entry["key"]] = entry
                 n_new += 1
+        return n_new, n_lines, n_corrupt
+
+    def _warn_corrupt(self, n_corrupt: int, n_lines: int) -> None:
         if n_corrupt:
             warnings.warn(
                 StoreCorruptionWarning(
                     f"{self.path}: skipped {n_corrupt} corrupt/truncated "
-                    f"tail line(s); {len(self._entries)} intact result(s) "
-                    f"indexed (a torn line is the signature of a writer "
-                    f"that crashed mid-put)"
+                    f"JSONL line(s) of {n_lines}; {len(self._entries)} "
+                    f"intact result(s) indexed (a torn final line is the "
+                    f"signature of an interrupted put)"
                 ),
-                stacklevel=2,
+                stacklevel=3,
             )
-        return n_new
 
     # -- lookup --------------------------------------------------------
     def key_for(self, case: Case, extra: Optional[Dict] = None) -> str:
@@ -398,16 +478,19 @@ class ResultStore:
 
     # -- mutation ------------------------------------------------------
     def put(self, key: str, record: RunRecord, seconds: float = 0.0) -> None:
-        """Insert/overwrite one entry; appended and fsynced immediately.
+        """Insert/overwrite one entry; appended to its file and fsynced
+        immediately, then indexed.
 
         The on-disk append is a single ``os.write`` on an O_APPEND fd
-        (see :func:`_append_entry`), so concurrent writers to the same
-        file can interleave whole lines but never fragments.
+        under an exclusive lock (see :func:`_append_entry`), so
+        concurrent writers to the same file can interleave whole lines
+        but never fragments.  A failed append raises and indexes
+        nothing.
         """
         entry = self._make_entry(key, record, seconds)
-        self._entries[key] = entry
         if self.path is not None:
-            _append_entry(self.path, entry)
+            _append_entry(self.shard_path(self.shard_of(key)), entry)
+        self._entries[key] = entry
 
     def _make_entry(self, key: str, record: RunRecord, seconds: float) -> Dict:
         return {
@@ -420,7 +503,7 @@ class ResultStore:
 
     def _snapshot(self) -> List[Dict]:
         """Every on-disk entry (foreign first, as on compaction) — the
-        migration unit for sharded<->flat conversion."""
+        migration unit between the two layouts."""
         return list(self._foreign.values()) + list(self._entries.values())
 
     def put_for(self, case: Case, record: RunRecord, seconds: float = 0.0,
@@ -430,29 +513,34 @@ class ResultStore:
         return key
 
     def invalidate(self, key: str) -> bool:
-        """Drop one entry (returns whether it existed); compacts the file."""
+        """Drop one entry (returns whether it existed); compacts the files."""
         existed = self._entries.pop(key, None) is not None
         if existed:
             self._rewrite()
         return existed
 
     def clear(self) -> None:
-        """Drop everything (all code versions), truncating the file."""
+        """Drop everything (all code versions), truncating the files."""
         self._entries.clear()
         self._foreign.clear()
         self._rewrite()
 
     def _rewrite(self) -> None:
+        """Compact every file crash-consistently (tmp+fsync+replace).
+
+        Single-writer by contract: lines other processes append during
+        a compaction are replaced away.  Each cursor moves to its
+        rewritten file, so the next :meth:`refresh` does not re-read
+        this compaction.
+        """
         if self.path is None:
             return
-        tmp = self.path + ".tmp"
-        with open(tmp, "wb") as fh:
-            for entry in self._snapshot():
-                fh.write(_entry_line(entry))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        st = os.stat(self.path)
-        self._tail_offset = st.st_size
-        self._tail_pending = b""
-        self._tail_mtime_ns = st.st_mtime_ns
+        groups: List[List[Dict]] = [[] for _ in self._cursors]
+        for entry in self._snapshot():
+            groups[self.shard_of(entry["key"])].append(entry)
+        for index, entries in enumerate(groups):
+            path = self.shard_path(index)
+            if entries or os.path.exists(path):
+                st = _write_lines(path, entries)
+                self._cursors[index] = _Cursor(
+                    path, st.st_size, b"", st.st_ino, st.st_mtime_ns)

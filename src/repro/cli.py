@@ -145,7 +145,6 @@ def _truncate_lines(path: str, keep: int) -> None:
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     """Answer batched prediction/lookup queries (JSONL in, JSONL out)."""
     import json as _json
-    import os as _os
 
     from .service import PredictionService, SnapshotManager, serve_stream
 
@@ -159,9 +158,11 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
                     help="JSONL response file ('-' = stdout, the default); "
                          "one line per request, in request order")
     ap.add_argument("--store", metavar="PATH",
-                    help="ResultStore backing lookup requests: a JSONL "
-                         "file, or a sharded store directory (campaign "
-                         "results become servable cache hits)")
+                    help="ResultStore backing lookup requests (campaign "
+                         "results become servable cache hits): an "
+                         "existing directory, or a new path without a "
+                         ".jsonl suffix, is a sharded store directory; "
+                         "anything else is a single JSONL file")
     ap.add_argument("--cache-size", type=int, default=4096,
                     help="bound of the prediction LRU (default 4096)")
     ap.add_argument("--batch-size", type=int, metavar="N",
@@ -210,14 +211,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     if args.resume and args.responses == "-":
         ap.error("--resume requires --responses PATH (stdout cannot be "
                  "truncated to the snapshot cursor)")
-    store = None
-    if args.store:
-        if _os.path.isdir(args.store):
-            from .campaign.shard import ShardedResultStore
-
-            store = ShardedResultStore(args.store)
-        else:
-            store = ResultStore(args.store)
+    store = ResultStore(args.store) if args.store else None
     service = PredictionService(store=store, cache_size=args.cache_size)
     snapshots = None
     skip = 0
@@ -276,8 +270,12 @@ def campaign_main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--jobs", type=int, default=1,
                     help="worker processes (default 1 = serial; 0 = all cores)")
     ap.add_argument("--store", metavar="PATH",
-                    help="persist results to a JSON-lines ResultStore at PATH "
-                         "(without --resume, existing results there are discarded)")
+                    help="persist results to a ResultStore at PATH: an "
+                         "existing directory, or a new path without a .jsonl "
+                         "suffix, is a sharded store directory that several "
+                         "campaign processes can share; anything else is a "
+                         "single JSONL file (without --resume, existing "
+                         "results there are discarded)")
     ap.add_argument("--resume", action="store_true",
                     help="reuse results already in --store instead of starting fresh")
     ap.add_argument("--timeout", type=float,

@@ -306,13 +306,12 @@ class PredictionService:
         incremental, so skipping it only delays visibility of other
         writers' results — it never serves wrong data).
         """
-        refresh = getattr(self.store, "refresh", None)
-        if refresh is None or not self.breaker.allow() or deadline.expired():
+        if not self.breaker.allow() or deadline.expired():
             return
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", StoreCorruptionWarning)
-                refresh()
+                self.store.refresh()
         except TimeoutError:
             self.breaker.record_failure()
             return

@@ -1,5 +1,6 @@
 """Chaos regression suite: the executor's completion guarantees under
-seeded fault injection, and the sharded multi-writer store.
+seeded fault injection, and the result store's two on-disk layouts
+(one JSONL file, or a sharded multi-writer directory).
 
 Every test drives the real :class:`~repro.campaign.executor.CampaignExecutor`
 with ``REPRO_FAULTS`` injection (transient exceptions, worker kills,
@@ -29,6 +30,7 @@ from repro.campaign import (
     migrate_to_sharded,
     run_campaign,
 )
+from repro.campaign import store as store_mod
 from repro.campaign.records import RunRecord
 from repro.campaign.sweep import sweep_cases
 from repro.faults import FaultPolicy
@@ -356,9 +358,12 @@ class TestShardedStore:
         store = ShardedResultStore(root, nshards=1)
         store.put("good", _mk_record("good"))
         with open(store.shard_path(0), "ab") as fh:
-            fh.write(b'{"key": "half')  # no newline: a write in progress
-        fresh = ShardedResultStore(root)
-        assert fresh.keys() == ["good"]  # fragment buffered, not corrupt
+            fh.write(b'{"key": "half')  # no newline: a writer died mid-line
+        # writers lock whole lines, so a fragment pending after the
+        # locked open read is reported as torn, and stays buffered
+        with pytest.warns(StoreCorruptionWarning, match="interrupted put"):
+            fresh = ShardedResultStore(root)
+        assert fresh.keys() == ["good"]  # fragment buffered, not an entry
 
     def test_concurrent_multiprocess_writers(self, tmp_path):
         root = str(tmp_path / "shards")
@@ -396,6 +401,106 @@ class TestShardedStore:
             assert dumps(flat2.get(key)) == dumps(store.get(key))
         # the other code version's entry survived both conversions
         assert ResultStore(back, code_version="0.0.0-other").keys() == ["foreign-key"]
+
+
+# a ``.jsonl`` path is a single file; a path without the suffix a shard
+# directory
+LAYOUTS = ["store.jsonl", "shards"]
+
+
+class TestStoreLayouts:
+    """The one ``ResultStore`` over both layouts: the layout rule, and
+    the writer and reader guarantees the layouts share."""
+
+    @pytest.mark.parametrize("name,existing,is_dir,nshards", [
+        ("x.jsonl", None, False, 1),  # a new *.jsonl path: a single file
+        ("x", None, True, 8),  # a new suffix-less path: a shard directory
+        ("x", "file", False, 1),  # an existing file, whatever its name
+        ("x.jsonl", "dir", True, 4),  # an existing directory; its pin wins
+    ])
+    def test_layout_comes_from_the_path(self, tmp_path, name, existing,
+                                        is_dir, nshards):
+        path = str(tmp_path / name)
+        if existing == "file":
+            seed = str(tmp_path / "seed.jsonl")
+            ResultStore(seed).put("old", _mk_record("old"))
+            os.rename(seed, path)
+        elif existing == "dir":
+            os.makedirs(path)
+            ResultStore(path, nshards=4).put("old", _mk_record("old"))
+        store = ResultStore(path, nshards=8)
+        store.put("new", _mk_record("new"))
+        assert os.path.isdir(path) == is_dir
+        assert os.path.exists(os.path.join(path, "_meta.json")) == is_dir
+        assert store.nshards == nshards
+        expected = ["new"] if existing is None else ["new", "old"]
+        assert sorted(ResultStore(path).keys()) == expected
+
+    @pytest.mark.parametrize("fault", ["short-write", "fsync-error"])
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_failed_append_is_rolled_back_and_raised(
+            self, tmp_path, monkeypatch, name, fault):
+        path = str(tmp_path / name)
+        store = ResultStore(path, nshards=1)
+        store.put("k0", _mk_record("k0"))
+        real_write = os.write
+
+        def short_write(fd, data):
+            return real_write(fd, data[: len(data) // 2])
+
+        def failing_fsync(fd):
+            raise OSError("injected fsync failure")
+
+        with monkeypatch.context() as patch:
+            if fault == "short-write":
+                patch.setattr(store_mod.os, "write", short_write)
+            else:
+                patch.setattr(store_mod.os, "fsync", failing_fsync)
+            with pytest.raises(OSError, match="rolled back"):
+                store.put("k1", _mk_record("k1"))
+        assert "k1" not in store  # a failed put indexes nothing
+        store.put("k2", _mk_record("k2"))  # not swallowed by a fragment
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StoreCorruptionWarning)
+            reloaded = ResultStore(path)
+        assert sorted(reloaded.keys()) == ["k0", "k2"]
+
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_put_between_probe_and_lock_is_read_once(
+            self, tmp_path, monkeypatch, name):
+        path = str(tmp_path / name)
+        reader = ResultStore(path, nshards=1)
+        writer = ResultStore(path)
+        writer.put("k0", _mk_record("k0"))
+        real_flock = store_mod._flock
+        landed = []
+
+        def put_then_flock(fd, lock_path, op):
+            if op == store_mod.fcntl.LOCK_SH and not landed:
+                # after the reader's stat probe, before its lock
+                landed.append(lock_path)
+                writer.put("k1", _mk_record("k1"))
+            real_flock(fd, lock_path, op)
+
+        monkeypatch.setattr(store_mod, "_flock", put_then_flock)
+        assert reader.refresh() == 2
+        assert landed
+        assert reader.refresh() == 0
+
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_compaction_then_growth_is_reread(self, tmp_path, name):
+        path = str(tmp_path / name)
+        writer = ResultStore(path, nshards=1)
+        for i in range(3):
+            writer.put(f"k{i}", _mk_record(f"k{i}"))
+        reader = ResultStore(path)
+        writer.invalidate("k0")  # the file is replaced, shorter...
+        for i in range(3, 6):  # ...then grows past the reader's offset
+            writer.put(f"k{i}", _mk_record(f"k{i}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StoreCorruptionWarning)
+            reader.refresh()
+        assert sorted(reader.keys()) == sorted(writer.keys())
 
 
 # ----------------------------------------------------------------------

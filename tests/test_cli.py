@@ -1,6 +1,7 @@
 """Tests for the command-line entry points."""
 
 import json
+import os
 
 import pytest
 
@@ -103,15 +104,18 @@ class TestCampaignMain:
         assert par == serial
 
     def test_store_resume_skips_done_cases(self, tmp_path, capsys):
-        store_path = str(tmp_path / "store.jsonl")
-        out_path = str(tmp_path / "recs.json")
-        rc = campaign_main(["--out", out_path, "--limit", "3", "--store", store_path])
-        assert rc == 0
-        capsys.readouterr()
-        rc = campaign_main(["--out", out_path, "--limit", "3",
-                            "--store", store_path, "--resume"])
-        assert rc == 0
-        assert "(3 cached)" in capsys.readouterr().out
+        # a single JSONL file, then (no .jsonl suffix) a shard directory
+        for name in ("store.jsonl", "shards"):
+            store_path = str(tmp_path / name)
+            out_path = str(tmp_path / "recs.json")
+            rc = campaign_main(["--out", out_path, "--limit", "3", "--store", store_path])
+            assert rc == 0
+            capsys.readouterr()
+            rc = campaign_main(["--out", out_path, "--limit", "3",
+                                "--store", store_path, "--resume"])
+            assert rc == 0
+            assert "(3 cached)" in capsys.readouterr().out
+        assert os.path.isdir(str(tmp_path / "shards"))
 
     def test_store_without_resume_starts_fresh(self, tmp_path, capsys):
         store_path = str(tmp_path / "store.jsonl")

@@ -280,19 +280,22 @@ class TestServeCLI:
         assert not lines[1]["ok"] and "neptune" in lines[1]["error"]
 
     def test_store_backed_lookup_and_stats(self, tmp_path, capsys):
-        store_path = tmp_path / "store.jsonl"
-        run_campaign([CASE_REGISTRY["case4"]],
-                     store=ResultStore(str(store_path)))
-        reqs = tmp_path / "requests.jsonl"
-        resps = tmp_path / "responses.jsonl"
-        reqs.write_text(json.dumps({"op": "lookup", "scenario": "case4"}) + "\n")
-        rc = serve_main(["--requests", str(reqs), "--responses", str(resps),
-                         "--store", str(store_path), "--stats"])
-        assert rc == 0
-        line = json.loads(resps.read_text().splitlines()[0])
-        assert line["ok"] and line["hit"] and line["case"] == "case4"
-        err = capsys.readouterr().err
-        assert "served 1 request(s)" in err and "1 lookup (1 hits" in err
+        # a single JSONL file, then (no .jsonl suffix) a shard directory
+        for name in ("store.jsonl", "shards"):
+            store_path = tmp_path / name
+            run_campaign([CASE_REGISTRY["case4"]],
+                         store=ResultStore(str(store_path)))
+            reqs = tmp_path / "requests.jsonl"
+            resps = tmp_path / "responses.jsonl"
+            reqs.write_text(json.dumps({"op": "lookup", "scenario": "case4"}) + "\n")
+            rc = serve_main(["--requests", str(reqs), "--responses", str(resps),
+                             "--store", str(store_path), "--stats"])
+            assert rc == 0
+            line = json.loads(resps.read_text().splitlines()[0])
+            assert line["ok"] and line["hit"] and line["case"] == "case4"
+            err = capsys.readouterr().err
+            assert "served 1 request(s)" in err and "1 lookup (1 hits" in err
+        assert (tmp_path / "shards" / "_meta.json").exists()
 
     def test_rejects_bad_cache_size(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -17,6 +17,7 @@ import warnings
 
 import pytest
 
+from repro.campaign import store as store_mod
 from repro.campaign.cases import CASE_REGISTRY
 from repro.campaign.runner import run_campaign
 from repro.campaign.store import ResultStore, StoreCorruptionWarning
@@ -76,12 +77,15 @@ class FakeClock:
         self.t += dt
 
 
+def _warm(path):
+    run_campaign([CASE_REGISTRY["case4"]], store=ResultStore(str(path)))
+    return str(path)
+
+
 @pytest.fixture
 def warm_store(tmp_path):
     """A flat store holding one finished campaign case (case4)."""
-    path = tmp_path / "store.jsonl"
-    run_campaign([CASE_REGISTRY["case4"]], store=ResultStore(str(path)))
-    return str(path)
+    return _warm(tmp_path / "store.jsonl")
 
 
 # ----------------------------------------------------------------------
@@ -311,6 +315,12 @@ class TestDegradedLookups:
 
 # ----------------------------------------------------------------------
 class TestStoreRefresh:
+    @pytest.fixture(params=["store.jsonl", "shards"])
+    def warm_store(self, tmp_path, request):
+        """The warm store in each on-disk layout: one JSONL file, or (a
+        path without the suffix) a shard directory."""
+        return _warm(tmp_path / request.param)
+
     def test_external_put_becomes_servable_after_refresh(self, warm_store):
         service = PredictionService(store=ResultStore(warm_store))
         assert service.lookup_many([LookupRequest("case27")])[0].hit is False
@@ -320,12 +330,16 @@ class TestStoreRefresh:
         resp = service.lookup_many([LookupRequest("case27")])[0]
         assert resp.hit and resp.record.name == "case27"
 
-    def test_warm_path_is_stat_only(self, warm_store):
+    def test_warm_path_is_stat_only(self, warm_store, monkeypatch):
         store = ResultStore(warm_store)
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("a warm refresh() opened a store file")
+
+        # the tail reader opens files through the store module's ``open``
+        monkeypatch.setattr(store_mod, "open", no_open, raising=False)
         assert store.refresh() == 0  # just-loaded: nothing new
-        mtime_before = store._tail_mtime_ns
         assert store.refresh() == 0
-        assert store._tail_mtime_ns == mtime_before
 
     def test_refresh_survives_compaction_by_another_opener(self, warm_store):
         store = ResultStore(warm_store)
