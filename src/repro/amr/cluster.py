@@ -51,21 +51,21 @@ def grid_efficiency(tags: np.ndarray, box: Box, origin: Tuple[int, int]) -> floa
 
 def _tag_bounding_box(tags: np.ndarray, box: Box, origin: Tuple[int, int]) -> Optional[Box]:
     """Smallest sub-box of ``box`` containing all its tags, or None."""
-    sl = box.slices(origin)
-    sub = tags[sl]
-    ii, jj = np.nonzero(sub)
-    if ii.size == 0:
+    sub = tags[box.slices(origin)]
+    # Tagged rows and columns from two reductions, not an index per tag.
+    rows = np.flatnonzero(sub.any(axis=1))
+    if rows.size == 0:
         return None
+    cols = np.flatnonzero(sub.any(axis=0))
     return Box(
-        (box.lo[0] + int(ii.min()), box.lo[1] + int(jj.min())),
-        (box.lo[0] + int(ii.max()), box.lo[1] + int(jj.max())),
+        (box.lo[0] + int(rows[0]), box.lo[1] + int(cols[0])),
+        (box.lo[0] + int(rows[-1]), box.lo[1] + int(cols[-1])),
     )
 
 
 def _signatures(tags: np.ndarray, box: Box, origin: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-    sl = box.slices(origin)
-    sub = tags[sl].astype(np.int64)
-    return sub.sum(axis=1), sub.sum(axis=0)
+    sub = tags[box.slices(origin)]
+    return sub.sum(axis=1, dtype=np.int64), sub.sum(axis=0, dtype=np.int64)
 
 
 def _find_hole(sig: np.ndarray) -> Optional[int]:

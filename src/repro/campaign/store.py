@@ -133,7 +133,10 @@ def _append_entry(path: str, entry: Dict) -> None:
     writer appends while a failed put rolls back: a short write, or an
     ``OSError`` from the write or the fsync, truncates the file back to
     its size before the put and raises, since a partial line left
-    behind would swallow the next put's line.
+    behind would swallow the next put's line.  A writer that died
+    mid-line cannot roll back, so under the lock a file that does not
+    end in a newline gets one before the line: the fragment stays one
+    corrupt line and this put survives.
 
     This is also the store's fault-injection point: under
     ``REPRO_FAULTS`` a selected case's line may be torn (a leading
@@ -148,12 +151,15 @@ def _append_entry(path: str, entry: Dict) -> None:
             data = data[: max(1, (2 * len(data)) // 3)] + b"\n"
         if injector.corrupt_line(name):
             data = data + injector.garbage_line(name)
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    # O_RDWR, not O_WRONLY: pread on a write-only fd fails with EBADF.
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
         if fcntl is not None:
             _flock(fd, path, fcntl.LOCK_EX)
         try:
             size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                data = b"\n" + data
             written = 0
             try:
                 written = os.write(fd, data)

@@ -78,31 +78,38 @@ def refined_region_mask(
     ``[R - w, R + w]``.  (Partial tiles still count fully — the same
     whole-grid rounding a real regrid performs at blocking-factor
     granularity.)
+
+    Cost: the per-axis distances are computed once per tile column and
+    row and only their squared sum is broadcast, so a level costs one
+    float64 buffer (reused for ``r_min`` and then ``r_max``) plus a few
+    bool masks: ~11 bytes per tile at peak.
     """
     nx, ny = geom.domain.shape
     if nx % tile or ny % tile:
         raise ValueError(f"domain {geom.domain.shape} not divisible by tile {tile}")
     tnx, tny = nx // tile, ny // tile
     dx, dy = geom.cell_size
-    # Tile bounds in physical coordinates.
-    x_lo = geom.prob_lo[0] + np.arange(tnx) * tile * dx
+    # Tile bounds in physical coordinates: x as a column, y as a row.
+    x_lo = (geom.prob_lo[0] + np.arange(tnx) * tile * dx)[:, None]
     x_hi = x_lo + tile * dx
-    y_lo = geom.prob_lo[1] + np.arange(tny) * tile * dy
+    y_lo = (geom.prob_lo[1] + np.arange(tny) * tile * dy)[None, :]
     y_hi = y_lo + tile * dy
-    XLO, YLO = np.meshgrid(x_lo, y_lo, indexing="ij")
-    XHI, YHI = np.meshgrid(x_hi, y_hi, indexing="ij")
     cx, cy = center
     # Nearest point of each tile to the center (clamped projection).
-    nearest_dx = np.maximum(np.maximum(XLO - cx, cx - XHI), 0.0)
-    nearest_dy = np.maximum(np.maximum(YLO - cy, cy - YHI), 0.0)
-    r_min = np.sqrt(nearest_dx**2 + nearest_dy**2)
+    nearest_dx = np.maximum(np.maximum(x_lo - cx, cx - x_hi), 0.0)
+    nearest_dy = np.maximum(np.maximum(y_lo - cy, cy - y_hi), 0.0)
     # Farthest corner of each tile from the center.
-    far_dx = np.maximum(np.abs(XLO - cx), np.abs(XHI - cx))
-    far_dy = np.maximum(np.abs(YLO - cy), np.abs(YHI - cy))
-    r_max = np.sqrt(far_dx**2 + far_dy**2)
-    in_band = (r_min <= radius + half_width) & (r_max >= radius - half_width)
-    in_core = r_min <= core_radius
-    return in_band | in_core
+    far_dx = np.maximum(np.abs(x_lo - cx), np.abs(x_hi - cx))
+    far_dy = np.maximum(np.abs(y_lo - cy), np.abs(y_hi - cy))
+    r = nearest_dx**2 + nearest_dy**2
+    np.sqrt(r, out=r)  # r_min
+    in_core = r <= core_radius
+    mask = r <= radius + half_width
+    np.add(far_dx**2, far_dy**2, out=r)
+    np.sqrt(r, out=r)  # r_max
+    mask &= r >= radius - half_width
+    mask |= in_core
+    return mask
 
 
 def annulus_boxarray(
@@ -121,15 +128,22 @@ def annulus_boxarray(
     to cells, and chops to ``max_grid_size`` — the same pipeline a real
     regrid runs, at tile granularity.
 
-    ``tile`` defaults to the largest power-of-two multiple of the
-    blocking factor that divides the domain and keeps the mask under
-    ~2^22 entries.
+    ``tile`` defaults to the blocking factor, doubled while the mask
+    has more than 2048^2 entries, the doubled tile is at most
+    ``max_grid_size`` and it still divides the domain.  The mask stays
+    under ~2^22 entries only when such a tile reaches that size: a
+    domain with few factors of two keeps a small tile and a large mask
+    (131064 = 8·16383 cells a side keeps tile 8 and a 16383^2 mask,
+    ~2.9 GB at the ~11 bytes per tile of :func:`refined_region_mask`).
     """
     nx, ny = geom.domain.shape
     if tile is None:
         tile = grid_params.blocking_factor
-        # Keep the tile mask at most ~2048^2 entries.
-        while (nx // tile) * (ny // tile) > 2048 * 2048 and tile * 2 <= grid_params.max_grid_size:
+        # Shrink the tile mask towards ~2048^2 entries, doubling only
+        # while the doubled tile still divides the domain.
+        while ((nx // tile) * (ny // tile) > 2048 * 2048
+               and tile * 2 <= grid_params.max_grid_size
+               and nx % (2 * tile) == 0 and ny % (2 * tile) == 0):
             tile *= 2
     if tile % grid_params.blocking_factor:
         raise ValueError("tile must be a multiple of blocking_factor")

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.amr.box import Box
-from repro.amr.cluster import ClusterParams, berger_rigoutsos, grid_efficiency
+from repro.amr.cluster import (
+    ClusterParams,
+    _signatures,
+    _tag_bounding_box,
+    berger_rigoutsos,
+    grid_efficiency,
+)
 
 
 def _covered(boxes, tags, origin=(0, 0)):
@@ -108,3 +114,38 @@ def test_coverage_and_disjointness_property(tags):
     # 3. Every box contains at least one tag.
     for b in boxes:
         assert tags[b.slices((0, 0))].any()
+
+
+@st.composite
+def _tags_box_origin(draw):
+    """A bool tag array, a sub-box of it and a non-zero origin."""
+    tags = draw(arrays(bool, st.tuples(st.integers(1, 24), st.integers(1, 24))))
+    origin = (draw(st.integers(-50, 50)), draw(st.integers(-50, 50)))
+    lo = [draw(st.integers(0, n - 1)) for n in tags.shape]
+    hi = [draw(st.integers(l, n - 1)) for l, n in zip(lo, tags.shape)]
+    box = Box((origin[0] + lo[0], origin[1] + lo[1]),
+              (origin[0] + hi[0], origin[1] + hi[1]))
+    return tags, box, origin
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tags_box_origin())
+def test_tag_bounding_box_matches_nonzero(case):
+    tags, box, origin = case
+    ii, jj = np.nonzero(tags[box.slices(origin)])
+    want = None if ii.size == 0 else Box(
+        (box.lo[0] + int(ii.min()), box.lo[1] + int(jj.min())),
+        (box.lo[0] + int(ii.max()), box.lo[1] + int(jj.max())),
+    )
+    assert _tag_bounding_box(tags, box, origin) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tags_box_origin())
+def test_signatures_match_int64_copy(case):
+    tags, box, origin = case
+    sub = tags[box.slices(origin)].astype(np.int64)
+    sig_i, sig_j = _signatures(tags, box, origin)
+    assert sig_i.dtype == sig_j.dtype == np.int64
+    assert np.array_equal(sig_i, sub.sum(axis=1))
+    assert np.array_equal(sig_j, sub.sum(axis=0))

@@ -466,6 +466,24 @@ class TestStoreLayouts:
         assert sorted(reloaded.keys()) == ["k0", "k2"]
 
     @pytest.mark.parametrize("name", LAYOUTS)
+    def test_dead_writer_fragment_does_not_swallow_next_put(self, tmp_path,
+                                                           name):
+        path = str(tmp_path / name)
+        store = ResultStore(path, nshards=1)
+        store.put("good", _mk_record("good"))
+        # another writer died mid-line: a fragment with no newline
+        with open(store.shard_path(0), "ab") as fh:
+            fh.write(b'{"key": "half')
+        store.put("next", _mk_record("next"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reloaded = ResultStore(path)
+        assert sorted(reloaded.keys()) == ["good", "next"]
+        corrupt = [w for w in caught
+                   if issubclass(w.category, StoreCorruptionWarning)]
+        assert len(corrupt) == 1  # the fragment alone is lost
+
+    @pytest.mark.parametrize("name", LAYOUTS)
     def test_put_between_probe_and_lock_is_read_once(
             self, tmp_path, monkeypatch, name):
         path = str(tmp_path / name)

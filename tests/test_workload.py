@@ -1,8 +1,12 @@
 """Tests for the analytic Sedov workload generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.amr.box import Box
+from repro.amr.geometry import Geometry
 from repro.amr.grid import GridParams
 from repro.hydro.eos import GammaLawEOS
 from repro.hydro.sedov import SedovProblem
@@ -94,6 +98,69 @@ class TestAnnulusMask:
         large = refined_region_mask(geom, 8, 0.4, 0.02, 0.0, (0.5, 0.5)).sum()
         assert large > 2 * small  # circumference grows with R
 
+    @pytest.mark.parametrize("geom,tile,radius,half_width,core_radius,center", [
+        # non-square domain
+        (Geometry(Box.cell_centered(512, 256)), 8, 0.3, 0.02, 0.05, (0.5, 0.5)),
+        # prob_lo != 0, off-center blast
+        (Geometry(Box.cell_centered(384, 384), prob_lo=(-0.5, 0.25),
+                  prob_hi=(1.5, 1.25)), 16, 0.4, 0.03, 0.1, (0.2, 0.6)),
+        # center exactly on a tile edge (tile 16 of 32 starts at 0.5)
+        (Geometry(Box.cell_centered(256, 256)), 8, 0.25, 0.01, 0.05, (0.5, 0.5)),
+        # center outside the domain
+        (Geometry(Box.cell_centered(256, 256)), 8, 3.6, 0.05, 0.2, (3.0, -2.0)),
+        # half_width=0
+        (Geometry(Box.cell_centered(256, 256)), 16, 0.3, 0.0, 0.05, (0.5, 0.5)),
+        # core_radius=0, center on the domain corner
+        (Geometry(Box.cell_centered(256, 256)), 16, 0.3, 0.02, 0.0, (0.0, 0.0)),
+        # tile 64
+        (Geometry(Box.cell_centered(1024, 512)), 64, 0.6, 0.05, 0.1, (0.4, 0.7)),
+    ])
+    def test_matches_meshgrid_reference(self, geom, tile, radius, half_width,
+                                        core_radius, center):
+        got = refined_region_mask(geom, tile, radius, half_width, core_radius,
+                                  center)
+        want = _mask_reference(geom, tile, radius, half_width, core_radius,
+                               center)
+        assert got.dtype == bool and got.shape == want.shape
+        assert want.any()
+        assert np.array_equal(got, want)
+
+    def test_peak_memory_per_tile(self):
+        """One float buffer plus bool masks per tile, not full meshgrids."""
+        n = 512
+        geom = Geometry(Box.cell_centered(n * 8, n * 8))
+        tracemalloc.start()
+        try:
+            refined_region_mask(geom, 8, 0.3, 0.01, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n) <= 16.0
+
+
+def _mask_reference(geom, tile, radius, half_width, core_radius, center):
+    """The meshgrid form of :func:`refined_region_mask`: every tile's
+    bounds as full 2-D arrays, then the same distance expressions."""
+    nx, ny = geom.domain.shape
+    tnx, tny = nx // tile, ny // tile
+    dx, dy = geom.cell_size
+    x_lo = geom.prob_lo[0] + np.arange(tnx) * tile * dx
+    x_hi = x_lo + tile * dx
+    y_lo = geom.prob_lo[1] + np.arange(tny) * tile * dy
+    y_hi = y_lo + tile * dy
+    XLO, YLO = np.meshgrid(x_lo, y_lo, indexing="ij")
+    XHI, YHI = np.meshgrid(x_hi, y_hi, indexing="ij")
+    cx, cy = center
+    nearest_dx = np.maximum(np.maximum(XLO - cx, cx - XHI), 0.0)
+    nearest_dy = np.maximum(np.maximum(YLO - cy, cy - YHI), 0.0)
+    r_min = np.sqrt(nearest_dx**2 + nearest_dy**2)
+    far_dx = np.maximum(np.abs(XLO - cx), np.abs(XHI - cx))
+    far_dy = np.maximum(np.abs(YLO - cy), np.abs(YHI - cy))
+    r_max = np.sqrt(far_dx**2 + far_dy**2)
+    in_band = (r_min <= radius + half_width) & (r_max >= radius - half_width)
+    in_core = r_min <= core_radius
+    return in_band | in_core
+
 
 class TestAnnulusBoxArray:
     def test_boxes_cover_band_and_respect_limits(self):
@@ -111,6 +178,15 @@ class TestAnnulusBoxArray:
         ba = annulus_boxarray(geom, 10.0, 0.001, 0.0, GridParams(8, 32),
                               center=(100.0, 100.0))
         assert len(ba) == 0
+
+    def test_default_tile_divides_the_domain(self):
+        """32784 = 16 * 2049: the tile stops doubling at 16, although
+        the mask is then just over 2048^2 tiles."""
+        geom = Geometry(Box.cell_centered(32784, 32784))
+        ba = annulus_boxarray(geom, 0.3, 0.01, 0.05, GridParams(8, 256))
+        assert len(ba) > 0
+        ba.validate_disjoint()
+        ba.validate_inside(geom.domain)
 
     _geom = TestAnnulusMask._geom
 
@@ -163,6 +239,15 @@ class TestGenerator:
         assert elapsed < 30.0
         # L0 alone: 8192^2 * 24 * 8 bytes per dump
         assert result.trace.total_bytes() > 8192**2 * 24 * 8 * 3
+
+    def test_domain_not_a_power_of_two(self):
+        """16392 = 8 * 2049 cells is valid Castro input; its L1 tile
+        mask must not pick a tile that does not divide the level."""
+        inputs = self._inputs(n_cell=(16392, 16392), max_level=1, max_step=2,
+                              plot_int=1, max_grid_size=256)
+        result = SedovWorkloadGenerator(inputs, nprocs=16).run()
+        assert [ev.step for ev in result.outputs] == [0, 1, 2]
+        assert all(ev.cells_per_level[1] > 0 for ev in result.outputs)
 
     def test_solver_vs_workload_same_accounting_shape(self):
         """The two engines must produce comparable L0 output (identical
