@@ -50,9 +50,10 @@ perfbench-selftest:
 bench-trace:
 	$(PYTHON) -m pytest benchmarks/bench_trace_columnar.py -q -o python_files='bench_*.py'
 
-# Full-size run of the batched dump-pipeline bench (plan-cached size
-# mode, fused data mode, vectorized inspect vs the seed per-fab loops at
-# fig-11 scale); asserts the >=5x size-mode floor, writes BENCH_dump.json.
+# Full-size run of the batched dump-pipeline bench (plan-cached dumps and
+# vectorized inspect vs the seed per-fab loops at fig-11 scale, paired
+# CPU-time rounds); asserts the >=5x dump and >=2x inspect floors, writes
+# BENCH_dump.json.
 bench-dump:
 	$(PYTHON) -m pytest benchmarks/bench_dump_pipeline.py -q -o python_files='bench_*.py'
 

@@ -4,9 +4,8 @@ The paper's measurements *are* the dump trees, and after the solver
 hot-path PR the dump side dominated campaign wall time: the seed
 ``write_plotfile`` rendered and encoded an ASCII FAB header per box just
 to measure its length, re-rendered every per-box ``Header``/``Cell_H``
-line every dump, copied each component three times in ``encode_fab``,
-and ``inspect_plotfile`` regex-walked one stat call per file over a
-linear scan of the whole filesystem.
+line every dump, and ``inspect_plotfile`` regex-walked one stat call per
+file over a linear scan of the whole filesystem.
 
 This bench runs the same dumps through
 
@@ -17,36 +16,35 @@ This bench runs the same dumps through
 
 at the Fig.-11 scale (8192^2 L0 mesh, 128 ranks, churning refined
 levels), asserts both produce identical trees, and emits
-``benchmarks/output/BENCH_dump.json`` with three sections: size-mode
-dumps/sec (>= 5x floor asserted at full scale), data-mode encode MB/s,
-and plotfile-inspection throughput.
+``benchmarks/output/BENCH_dump.json`` with two sections: dumps/sec
+(>= 5x floor asserted at full scale) and plotfile-inspection throughput
+(>= 2x).
+
+Each row is a paired comparison: every round runs the seed and the
+batched path back to back (host drift hits both halves alike), each
+half averaging a few passes, on CPU time, with GC paused, and
+``speedup`` is the median of the per-round ratios — robust against a
+round where the host stalls one half.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the meshes to a harness check (artifact
 still emitted; the speedup floors are only asserted at full size).
 """
 
+import gc
 import json
 import os
+import re as _re
+import statistics
 import time
 
-import numpy as np
-
-from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
 from repro.amr.distribution import make_distribution
-from repro.amr.geometry import Geometry
-from repro.amr.multifab import MultiFab
 from repro.campaign.cases import large_case
-from repro.hydro.eos import GammaLawEOS
-from repro.hydro.state import NCOMP
 from repro.iosim.darshan import IOTrace
 from repro.iosim.filesystem import VirtualFileSystem
 from repro.plotfile.cellh import FabLocation, build_cellh_text
-from repro.plotfile.derive import derive_fields
 from repro.plotfile.fab import fab_header
-from repro.plotfile.header import build_job_info_text
+from repro.plotfile.header import _GRID_BLOCK_CACHE, build_job_info_text
 from repro.plotfile.reader import LevelInfo, PlotfileInfo, inspect_plotfile
-from repro.plotfile.varlist import plot_variables
 from repro.plotfile.writer import PlotfileSpec, clear_plan_cache, write_plotfile
 from repro.sim.inputs import CastroInputs
 from repro.workload.generator import SedovWorkloadGenerator
@@ -58,27 +56,15 @@ NPROCS = 128
 N_DUMPS = 12
 N_LAYOUTS = 4  # distinct annulus positions; each persists for a few dumps
 SIZE_SPEEDUP_FLOOR = 5.0
-DATA_SPEEDUP_FLOOR = 1.4
 INSPECT_SPEEDUP_FLOOR = 2.0
-
-EOS = GammaLawEOS()
-
-import re as _re
+ROUNDS = 9  # paired seed/batched rounds per row (smoke: 2)
+METHOD = "median of paired CPU-time rounds (gc off)"
 
 # ----------------------------------------------------------------------
 # The seed implementations, verbatim (the baseline).
 # ----------------------------------------------------------------------
 def seed_fab_nbytes(box, ncomp):
     return len(fab_header(box, ncomp).encode("ascii")) + box.numpts * ncomp * 8
-
-
-def seed_encode_fab(box, data):
-    ncomp = data.shape[0]
-    header = fab_header(box, ncomp).encode("ascii")
-    payload = np.ascontiguousarray(
-        np.stack([np.asfortranarray(data[c]).ravel(order="F") for c in range(ncomp)])
-    ).astype("<f8").tobytes()
-    return header + payload
 
 
 def seed_build_header_text(var_names, geoms, boxarrays, time_, step, ref_ratio):
@@ -117,7 +103,7 @@ def seed_build_header_text(var_names, geoms, boxarrays, time_, step, ref_ratio):
 
 
 def seed_write_plotfile(fs, spec, step, time_, geoms, boxarrays, distributions,
-                        ref_ratio=2, state=None, eos=None, trace=None):
+                        ref_ratio=2, trace=None):
     var_names = spec.var_names
     nvars = len(var_names)
     pdir = f"{spec.prefix}{step:05d}"
@@ -139,43 +125,22 @@ def seed_write_plotfile(fs, spec, step, time_, geoms, boxarrays, distributions,
         for k in range(len(ba)):
             rank_boxes.setdefault(dm[k], []).append(k)
         locations = [None] * len(ba)
-        minmax = [([0.0] * nvars, [0.0] * nvars) for _ in range(len(ba))]
         ranks = sorted(rank_boxes)
         paths = [f"{ldir}/Cell_D_{rank:05d}" for rank in ranks]
         sizes = []
         for rank, path in zip(ranks, paths):
             fname = path.rsplit("/", 1)[-1]
             offset = 0
-            chunks = []
             for k in rank_boxes[rank]:
                 box = ba[k]
                 locations[k] = FabLocation(fname, offset)
-                if state is not None:
-                    fields = derive_fields(
-                        state[lev][k].interior(), eos or GammaLawEOS(),
-                        spec.derive_all, geoms[lev].dx, geoms[lev].dy,
-                    )
-                    blob = seed_encode_fab(box, fields)
-                    chunks.append(blob)
-                    offset += len(blob)
-                    minmax[k] = (
-                        [float(fields[c].min()) for c in range(nvars)],
-                        [float(fields[c].max()) for c in range(nvars)],
-                    )
-                else:
-                    offset += seed_fab_nbytes(box, nvars)
-            if state is not None:
-                sizes.append(fs.write_bytes(path, b"".join(chunks)))
-            else:
-                sizes.append(offset)
-        if state is None:
-            fs.write_many(paths, sizes)
+                offset += seed_fab_nbytes(box, nvars)
+            sizes.append(offset)
+        fs.write_many(paths, sizes)
         if trace is not None and ranks:
             trace.record_batch(step, lev, ranks, sizes, paths, kind="data")
         cellh = build_cellh_text(
-            ba, nvars,
-            [loc for loc in locations if loc is not None],
-            minmax if state is not None else (),
+            ba, nvars, [loc for loc in locations if loc is not None]
         )
         n = fs.write_text(f"{ldir}/Cell_H", cellh)
         if trace is not None:
@@ -249,12 +214,39 @@ def fig11_layout_sequence(smoke):
 
 
 def _run_dump_loop(write_fn, spec, sequence):
+    """One pass over the dump sequence: ``((fs, trace), cpu_seconds)``."""
     fs = VirtualFileSystem()
     trace = IOTrace()
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     for step, (geoms, bas, dms) in enumerate(sequence):
         write_fn(fs, spec, step, 1e-4 * step, geoms, bas, dms, trace=trace)
-    return fs, trace, time.perf_counter() - t0
+    return (fs, trace), time.process_time() - t0
+
+
+def _cold_writer_caches():
+    """Drop the writer's per-layout caches (level plans and the Header's
+    per-box block), so every batched round pays its plan builds."""
+    clear_plan_cache()
+    _GRID_BLOCK_CACHE.clear()
+
+
+def _paired(rounds, seed_fn, batched_fn):
+    """Run ``seed_fn`` then ``batched_fn`` back to back ``rounds`` times
+    with GC paused.  Each returns ``(result, cpu_seconds)``; returns the
+    last round's two results, both time lists and the median of the
+    per-round ``seed / batched`` ratios."""
+    seed_s, batched_s = [], []
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            seed_out, ts = seed_fn()
+            batched_out, tb = batched_fn()
+            seed_s.append(ts)
+            batched_s.append(tb)
+    finally:
+        gc.enable()
+    ratios = [a / max(b, 1e-9) for a, b in zip(seed_s, batched_s)]
+    return seed_out, batched_out, seed_s, batched_s, statistics.median(ratios)
 
 
 def _assert_same_tree(fs_a, fs_b):
@@ -263,114 +255,88 @@ def _assert_same_tree(fs_a, fs_b):
         assert fs_a.size(p) == fs_b.size(p), f"size differs: {p}"
 
 
-def _bench_size_mode(smoke):
+def _bench_size_mode(smoke, rounds):
     sequence, nprocs = fig11_layout_sequence(smoke)
     spec = PlotfileSpec(prefix="sedov_2d_cyl_in_cart_plt", nprocs=nprocs)
     nboxes = sum(len(ba) for ba in sequence[0][1])
-    seed_fs, seed_tr, seed_s = _run_dump_loop(seed_write_plotfile, spec, sequence)
-    clear_plan_cache()
-    new_fs, new_tr, new_s = _run_dump_loop(write_plotfile, spec, sequence)
+    reps = 1 if smoke else 3  # passes per half-round: ~20 ms each batched
+
+    def timed(write_fn, cold):
+        def run():
+            total = 0.0
+            for _ in range(reps):
+                if cold:
+                    _cold_writer_caches()
+                out, t = _run_dump_loop(write_fn, spec, sequence)
+                total += t
+            return out, total / reps
+        return run
+
+    (seed_fs, seed_tr), (new_fs, new_tr), seed_s, new_s, speedup = _paired(
+        rounds, timed(seed_write_plotfile, False), timed(write_plotfile, True))
     _assert_same_tree(seed_fs, new_fs)
     assert seed_tr.bytes_step_level_rank() == new_tr.bytes_step_level_rank()
+    seed_med, new_med = statistics.median(seed_s), statistics.median(new_s)
     row = {
         "mesh": sequence[0][0][0].domain.shape[0],
         "nprocs": nprocs,
         "boxes_per_dump": nboxes,
         "dumps": N_DUMPS,
-        "seed_s": round(seed_s, 4),
-        "batched_s": round(new_s, 4),
-        "seed_dumps_per_s": round(N_DUMPS / max(seed_s, 1e-9), 2),
-        "batched_dumps_per_s": round(N_DUMPS / max(new_s, 1e-9), 2),
-        "speedup": round(seed_s / max(new_s, 1e-9), 2),
+        "rounds": rounds,
+        "reps": reps,
+        "seed_s": round(seed_med, 4),
+        "batched_s": round(new_med, 4),
+        "seed_dumps_per_s": round(N_DUMPS / max(seed_med, 1e-9), 2),
+        "batched_dumps_per_s": round(N_DUMPS / max(new_med, 1e-9), 2),
+        "speedup": round(speedup, 2),
         "floor": SIZE_SPEEDUP_FLOOR,
+        "method": METHOD,
     }
     return row, new_fs
 
 
-def _bench_data_mode(smoke):
-    n, mg = (96, 16) if smoke else (256, 16)
-    reps = 2 if smoke else 4
-    boxes = [Box((i, j), (i + mg - 1, j + mg - 1))
-             for i in range(0, n, mg) for j in range(0, n, mg)]
-    ba = BoxArray(boxes)
-    geom = Geometry(Box.cell_centered(n, n))
-    dm = make_distribution(ba, 8, "sfc")
-    mf = MultiFab(ba, dm, NCOMP, nghost=0)
-    rng = np.random.default_rng(7)
-    for fab in mf:
-        fab.data[0] = 1.0 + rng.random(fab.data[0].shape)
-        fab.data[1] = 0.1 * rng.standard_normal(fab.data[0].shape)
-        fab.data[2] = 0.1 * rng.standard_normal(fab.data[0].shape)
-        fab.data[3] = 2.5 + rng.random(fab.data[0].shape)
-    spec = PlotfileSpec(prefix="plt", nprocs=8)
-    args = ([geom], [ba], [dm])
-
-    fs_a = VirtualFileSystem(keep_content=True)
-    t0 = time.perf_counter()
-    for r in range(reps):
-        seed_write_plotfile(fs_a, spec, r, 0.0, *args, state=[mf], eos=EOS)
-    seed_s = time.perf_counter() - t0
-
-    clear_plan_cache()
-    fs_b = VirtualFileSystem(keep_content=True)
-    t0 = time.perf_counter()
-    for r in range(reps):
-        write_plotfile(fs_b, spec, r, 0.0, *args, state=[mf], eos=EOS)
-    new_s = time.perf_counter() - t0
-
-    assert fs_a.files() == fs_b.files()
-    for p in fs_a.files():
-        assert fs_a.read_bytes(p) == fs_b.read_bytes(p), f"bytes differ: {p}"
-    nvars = len(plot_variables(True))
-    mb = n * n * nvars * 8 / 1e6
-    return {
-        "mesh": n,
-        "nfabs": len(ba),
-        "mb_per_dump": round(mb, 2),
-        "dumps": reps,
-        "seed_mb_per_s": round(mb * reps / max(seed_s, 1e-9), 1),
-        "fused_mb_per_s": round(mb * reps / max(new_s, 1e-9), 1),
-        "speedup": round(seed_s / max(new_s, 1e-9), 2),
-        "floor": DATA_SPEEDUP_FLOOR,
-    }
-
-
-def _bench_inspect(new_fs, smoke):
+def _bench_inspect(new_fs, smoke, rounds):
     pdirs = sorted({p.split("/")[0] for p in new_fs.files()})
     reps = 1 if smoke else 8
     # warm both paths once (first-call allocator/caching effects)
     seed_inspect_plotfile(new_fs, pdirs[0])
     inspect_plotfile(new_fs, pdirs[0])
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        seed_infos = [seed_inspect_plotfile(new_fs, d) for d in pdirs]
-    seed_s = (time.perf_counter() - t0) / reps
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        new_infos = [inspect_plotfile(new_fs, d) for d in pdirs]
-    new_s = (time.perf_counter() - t0) / reps
+
+    def timed(inspect):
+        def run():
+            t0 = time.process_time()
+            for _ in range(reps):
+                infos = [inspect(new_fs, d) for d in pdirs]
+            return infos, (time.process_time() - t0) / reps
+        return run
+
+    seed_infos, new_infos, seed_s, new_s, speedup = _paired(
+        rounds, timed(seed_inspect_plotfile), timed(inspect_plotfile))
     for a, b in zip(seed_infos, new_infos):
         assert a.step == b.step and a.total_bytes == b.total_bytes
         assert a.bytes_per_level() == b.bytes_per_level()
         assert a.bytes_per_task() == b.bytes_per_task()
+    seed_med, new_med = statistics.median(seed_s), statistics.median(new_s)
     return {
         "plotfiles": len(pdirs),
         "files_total": len(new_fs.files()),
-        "seed_per_s": round(len(pdirs) / max(seed_s, 1e-9), 1),
-        "batched_per_s": round(len(pdirs) / max(new_s, 1e-9), 1),
-        "speedup": round(seed_s / max(new_s, 1e-9), 2),
+        "rounds": rounds,
+        "reps": reps,
+        "seed_per_s": round(len(pdirs) / max(seed_med, 1e-9), 1),
+        "batched_per_s": round(len(pdirs) / max(new_med, 1e-9), 1),
+        "speedup": round(speedup, 2),
         "floor": INSPECT_SPEEDUP_FLOOR,
+        "method": METHOD,
     }
 
 
 def test_dump_pipeline_vs_seed(once, emit, bench_json, smoke):
-    size_row, new_fs = once(_bench_size_mode, smoke)
-    data_row = _bench_data_mode(smoke)
-    inspect_row = _bench_inspect(new_fs, smoke)
+    rounds = 2 if smoke else ROUNDS
+    size_row, new_fs = once(_bench_size_mode, smoke, rounds)
+    inspect_row = _bench_inspect(new_fs, smoke, rounds)
 
     payload = {
         "size_mode": size_row,
-        "data_mode": data_row,
         "inspect": inspect_row,
     }
     bench_json(BENCH_PATH, payload)
@@ -381,10 +347,6 @@ def test_dump_pipeline_vs_seed(once, emit, bench_json, smoke):
             f"batched size-mode dumps only {size_row['speedup']}x the seed "
             f"loop at {size_row['mesh']}^2 / {size_row['boxes_per_dump']} "
             f"boxes (floor {SIZE_SPEEDUP_FLOOR}x)"
-        )
-        assert data_row["speedup"] >= DATA_SPEEDUP_FLOOR, (
-            f"fused data-mode encode only {data_row['speedup']}x the seed "
-            f"chain (floor {DATA_SPEEDUP_FLOOR}x)"
         )
         assert inspect_row["speedup"] >= INSPECT_SPEEDUP_FLOOR, (
             f"vectorized inspect only {inspect_row['speedup']}x the seed "

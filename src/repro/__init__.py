@@ -15,8 +15,8 @@ Subpackages
     The two I/O producers: Castro plotfiles (Fig. 2 layout) and the
     MACSio proxy (Fig. 3 layout).
 ``repro.parallel`` / ``repro.iosim``
-    Simulated MPI and the storage/trace substrate (GPFS, Lustre, and
-    burst-buffer timing models).
+    The rank-to-node job topology and the storage/trace substrate (GPFS,
+    Lustre, and burst-buffer timing models).
 ``repro.platform``
     The machine registry: Platform specs (summit, frontier,
     burst-buffer, workstation) dispatching the storage-model hierarchy.

@@ -3,8 +3,8 @@
 Provides the index-space and mesh machinery the paper's AMReX-Castro
 runs depend on: boxes, box arrays, geometry, gradient tagging,
 Berger–Rigoutsos clustering, grid generation with blocking factor and
-max grid size, distribution mappings, multifabs and the regridding
-hierarchy.
+max grid size, distribution mappings, conservative restriction and the
+regridding hierarchy.
 """
 
 from .box import Box, bounding_box, coarsen_index, refine_index
@@ -23,9 +23,8 @@ from .geometry import CoordSys, Geometry
 from .hilbert import hilbert_key, hilbert_map
 from .grid import GridParams, align_to_blocking_factor, chop_to_max_size, make_level_grids
 from .hierarchy import AmrHierarchy, AmrParams, LevelState
-from .interp import prolong_bilinear, prolong_constant, restrict_average
-from .multifab import Fab, MultiFab
-from .tagging import TagCriteria, buffer_tags, tag_gradient, tagged_boxes_1cell
+from .interp import restrict_average
+from .tagging import TagCriteria, buffer_tags, tag_gradient
 
 __all__ = [
     "Box",
@@ -54,13 +53,8 @@ __all__ = [
     "AmrHierarchy",
     "AmrParams",
     "LevelState",
-    "prolong_bilinear",
-    "prolong_constant",
     "restrict_average",
-    "Fab",
-    "MultiFab",
     "TagCriteria",
     "buffer_tags",
     "tag_gradient",
-    "tagged_boxes_1cell",
 ]

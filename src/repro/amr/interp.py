@@ -1,57 +1,12 @@
-"""Inter-level transfer operators: prolongation and restriction.
-
-Used when a regrid creates new fine boxes (fill from coarse, piecewise
-constant or bilinear) and when fine solutions are averaged down onto the
-coarse level (conservative averaging), as in AMReX's ``average_down`` and
-``FillPatch`` machinery.
+"""Inter-level restriction: conservative averaging of fine data onto the
+coarse level, as in AMReX's ``average_down``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["prolong_constant", "prolong_bilinear", "restrict_average"]
-
-
-def prolong_constant(coarse: np.ndarray, ratio: int) -> np.ndarray:
-    """Piecewise-constant injection: each coarse cell -> ratio x ratio block."""
-    if coarse.ndim != 2:
-        raise ValueError("prolong_constant expects 2-D input")
-    return np.repeat(np.repeat(coarse, ratio, axis=0), ratio, axis=1)
-
-
-def prolong_bilinear(coarse: np.ndarray, ratio: int) -> np.ndarray:
-    """Cell-centered bilinear interpolation to the fine grid.
-
-    Fine cell centers sit at fractional coarse coordinates
-    ``(i + (k + 0.5)/ratio - 0.5)``; values are clamped at the domain
-    edge (one-sided), matching AMReX's ``CellBilinear`` on interiors.
-    """
-    if coarse.ndim != 2:
-        raise ValueError("prolong_bilinear expects 2-D input")
-    ncx, ncy = coarse.shape
-    nfx, nfy = ncx * ratio, ncy * ratio
-    # Fractional coarse-space coordinates of fine cell centers.
-    fx = (np.arange(nfx) + 0.5) / ratio - 0.5
-    fy = (np.arange(nfy) + 0.5) / ratio - 0.5
-    i0 = np.clip(np.floor(fx).astype(int), 0, ncx - 2) if ncx > 1 else np.zeros(nfx, int)
-    j0 = np.clip(np.floor(fy).astype(int), 0, ncy - 2) if ncy > 1 else np.zeros(nfy, int)
-    tx = np.clip(fx - i0, 0.0, 1.0) if ncx > 1 else np.zeros(nfx)
-    ty = np.clip(fy - j0, 0.0, 1.0) if ncy > 1 else np.zeros(nfy)
-    i1 = np.minimum(i0 + 1, ncx - 1)
-    j1 = np.minimum(j0 + 1, ncy - 1)
-    c00 = coarse[np.ix_(i0, j0)]
-    c10 = coarse[np.ix_(i1, j0)]
-    c01 = coarse[np.ix_(i0, j1)]
-    c11 = coarse[np.ix_(i1, j1)]
-    TX = tx[:, None]
-    TY = ty[None, :]
-    return (
-        c00 * (1 - TX) * (1 - TY)
-        + c10 * TX * (1 - TY)
-        + c01 * (1 - TX) * TY
-        + c11 * TX * TY
-    )
+__all__ = ["restrict_average"]
 
 
 def restrict_average(fine: np.ndarray, ratio: int) -> np.ndarray:

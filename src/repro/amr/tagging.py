@@ -9,13 +9,9 @@ them to the blocking factor, as AMReX does before clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
 import numpy as np
 
-from .box import Box
-
-__all__ = ["TagCriteria", "tag_gradient", "buffer_tags", "tagged_boxes_1cell"]
+__all__ = ["TagCriteria", "tag_gradient", "buffer_tags"]
 
 
 @dataclass(frozen=True)
@@ -86,14 +82,3 @@ def buffer_tags(tags: np.ndarray, n_buf: int) -> np.ndarray:
         out, cur = cur, out
     return out
 
-
-def tagged_boxes_1cell(tags: np.ndarray, origin: Tuple[int, int] = (0, 0)) -> List[Box]:
-    """Degenerate clustering: one 1x1 box per tagged cell.
-
-    Useful as a ground-truth reference for the Berger–Rigoutsos tests.
-    """
-    ii, jj = np.nonzero(tags)
-    return [
-        Box((int(i) + origin[0], int(j) + origin[1]), (int(i) + origin[0], int(j) + origin[1]))
-        for i, j in zip(ii, jj)
-    ]

@@ -10,6 +10,7 @@ cases and pins ``1550000 ~ 23.65 * 512^2 * 8 / 32`` for case4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -28,8 +29,10 @@ def part_size_model(f: float, nx: int, ny: int, nprocs: int) -> float:
         raise ValueError("nprocs must be >= 1")
     if nx < 1 or ny < 1:
         raise ValueError(f"mesh dimensions must be positive (nx={nx}, ny={ny})")
-    if f <= 0:
-        raise ValueError(f"correction factor f must be positive (got {f})")
+    if not (math.isfinite(f) and f > 0):
+        raise ValueError(
+            f"correction factor f must be positive and finite (got {f})"
+        )
     return f * 8.0 * nx * ny / nprocs
 
 

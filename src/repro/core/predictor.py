@@ -17,12 +17,11 @@ fitted regression, or the Appendix-A guidance rule).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..iosim.storage import StorageModel
-from ..macsio.miftmpl import json_inflation
 from ..parallel.topology import JobTopology
 from ..platform import get_platform
 from ..sim.inputs import CastroInputs
@@ -32,7 +31,13 @@ from .part_size import part_size_model
 from .regression import CaseFeatures, LinearModel
 from .translator import ProxyModel, translate
 
-__all__ = ["SizePrediction", "predict_sizes", "burst_series", "DEFAULT_F"]
+__all__ = [
+    "SizePrediction",
+    "predict_sizes",
+    "size_series",
+    "burst_series",
+    "DEFAULT_F",
+]
 
 # Midpoint of the paper's empirical band — the zero-information prior.
 DEFAULT_F = 24.0
@@ -58,6 +63,41 @@ def burst_series(
         per_rank[:] = int(step_bytes[k] / nprocs)
         bursts.append(storage.burst_time(per_rank, node_map))
     return np.asarray(bursts)
+
+
+def size_series(
+    inputs: CastroInputs,
+    nprocs: int,
+    f: float,
+    growth_table: Optional[GrowthTable] = None,
+    regression: Optional[LinearModel] = None,
+) -> Tuple[float, str, np.ndarray]:
+    """The predicted per-dump byte series and the growth behind it.
+
+    Growth resolution order: an explicit calibrated ``growth_table``
+    wins, then a fitted ``regression`` model, then the paper's
+    Appendix-A guidance rule.  The series is the Eq.-3 total
+    (``part_size * nprocs``) grown over ``inputs.n_outputs`` dumps.
+    Shared by :func:`predict_sizes` and the prediction service, so both
+    produce the same floats by construction.
+
+    Returns ``(growth, growth_source, step_bytes)``.
+    """
+    if growth_table is not None and len(growth_table) > 0:
+        growth = interpolate_growth(growth_table, inputs.cfl, inputs.max_level)
+        source = "table"
+    elif regression is not None:
+        growth = regression.predict(
+            CaseFeatures(inputs.cfl, inputs.max_level, inputs.ncells_l0, nprocs)
+        )
+        source = "regression"
+    else:
+        growth = paper_guidance_growth(inputs.cfl, inputs.max_level + 1)
+        source = "guidance"
+    if growth <= 0:
+        raise ValueError(f"growth source produced non-positive growth {growth}")
+    base = part_size_model(f, inputs.n_cell[0], inputs.n_cell[1], nprocs) * nprocs
+    return float(growth), source, growth_series(base, growth, inputs.n_outputs)
 
 
 @dataclass(frozen=True)
@@ -106,9 +146,8 @@ def predict_sizes(
 ) -> SizePrediction:
     """Predict the output-size series of an unseen configuration.
 
-    Growth resolution order: an explicit calibrated ``growth_table``
-    wins, then a fitted ``regression`` model, then the paper's
-    Appendix-A guidance rule.  ``f`` defaults to the band midpoint;
+    Growth comes from :func:`size_series` (calibrated table, then
+    regression, then guidance).  ``f`` defaults to the band midpoint;
     pass a fitted value when one is available for the mesh family.
 
     ``platform`` (a registry name or :class:`~repro.platform.Platform`)
@@ -125,22 +164,7 @@ def predict_sizes(
     if storage is None and plat is not None:
         storage = plat.storage_model(variability=0.0)
         machine = plat.name  # label only timings the platform produced
-    if growth_table is not None and len(growth_table) > 0:
-        growth = interpolate_growth(growth_table, inputs.cfl, inputs.max_level)
-        source = "table"
-    elif regression is not None:
-        growth = regression.predict(
-            CaseFeatures(inputs.cfl, inputs.max_level, inputs.ncells_l0, nprocs)
-        )
-        source = "regression"
-    else:
-        growth = paper_guidance_growth(inputs.cfl, inputs.max_level + 1)
-        source = "guidance"
-    if growth <= 0:
-        raise ValueError(f"growth source produced non-positive growth {growth}")
-    n_dumps = inputs.n_outputs
-    base = part_size_model(f, inputs.n_cell[0], inputs.n_cell[1], nprocs) * nprocs
-    steps = growth_series(base, growth, n_dumps)
+    growth, source, steps = size_series(inputs, nprocs, f, growth_table, regression)
     prediction_burst = None
     if storage is not None:
         if topology is not None:
@@ -155,7 +179,7 @@ def predict_sizes(
         inputs=inputs,
         nprocs=nprocs,
         f=f,
-        growth=float(growth),
+        growth=growth,
         growth_source=source,
         step_bytes=steps,
         cumulative_bytes=np.cumsum(steps),

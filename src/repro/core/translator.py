@@ -21,6 +21,7 @@ are "runtime" degrees of freedom determined after collecting runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -51,8 +52,10 @@ class ProxyModel:
     anchor_output: bool = True
 
     def __post_init__(self) -> None:
-        if self.f <= 0:
-            raise ValueError(f"correction factor f must be positive (got {self.f})")
+        if not (math.isfinite(self.f) and self.f > 0):
+            raise ValueError(
+                f"correction factor f must be positive and finite (got {self.f})"
+            )
         if self.dataset_growth <= 0:
             raise ValueError("dataset_growth must be positive")
 

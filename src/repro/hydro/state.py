@@ -4,7 +4,7 @@ The 2-D compressible Euler system evolves the conserved vector
 ``U = (rho, rho u, rho v, rho E)``; the solver reconstructs in the
 primitive variables ``W = (rho, u, v, p)``.  Components are the leading
 axis of shape-(4, nx, ny) arrays throughout the solver, matching the
-AoS-of-fields layout Castro uses for its state MultiFabs.
+component-leading layout of Castro's per-box state data (FABs).
 """
 
 from __future__ import annotations

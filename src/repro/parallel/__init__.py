@@ -1,6 +1,5 @@
-"""Simulated MPI substrate: communicator, ranks and job topology."""
+"""Job topology: how the simulated MPI ranks are packed onto nodes."""
 
-from .comm import RankView, SimComm
 from .topology import JobTopology
 
-__all__ = ["RankView", "SimComm", "JobTopology"]
+__all__ = ["JobTopology"]

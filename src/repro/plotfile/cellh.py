@@ -1,23 +1,23 @@
 """Per-level ``Cell_H`` metadata files.
 
-``Cell_H`` describes the FABs of one level: the box list, which
-``Cell_D_xxxxx`` file holds each FAB and at what byte offset, and the
-per-FAB component min/max tables AMReX appends.
+``Cell_H`` describes the FABs of one level: the box list and which
+``Cell_D_xxxxx`` file holds each FAB at what byte offset.  (AMReX
+appends per-FAB component min/max tables when it writes real data; the
+accounting writer has no data, so it emits none.)
 
 Two builders render byte-identical text: :func:`build_cellh_text` takes
 the seed-style per-box :class:`FabLocation` objects, and
 :func:`build_cellh_arrays` consumes the arrays the batched writer
-produces (per-box filenames, an offset vector, optional ``(nfab, ncomp)``
-min/max matrices) without materializing per-box location objects.
+produces (per-box filenames and an offset vector) without materializing
+per-box location objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from ..amr.box import Box
 from ..amr.boxarray import BoxArray
 
 __all__ = ["build_cellh_text", "build_cellh_arrays", "FabLocation"]
@@ -37,7 +37,6 @@ def build_cellh_text(
     ba: BoxArray,
     ncomp: int,
     locations: Sequence[FabLocation],
-    minmax: Sequence[Tuple[Sequence[float], Sequence[float]]] = (),
 ) -> str:
     """Render a level's ``Cell_H``.
 
@@ -49,8 +48,6 @@ def build_cellh_text(
         Components per FAB.
     locations:
         One :class:`FabLocation` per box (order matches ``ba``).
-    minmax:
-        Optional per-FAB (mins, maxs) tables, each of length ``ncomp``.
     """
     if len(locations) != len(ba):
         raise ValueError("need one FabLocation per box")
@@ -66,17 +63,6 @@ def build_cellh_text(
     lines.append(str(len(ba)))
     for loc in locations:
         lines.append(f"FabOnDisk: {loc.filename} {loc.offset}")
-    if minmax:
-        if len(minmax) != len(ba):
-            raise ValueError("minmax table length must match box count")
-        lines.append("")
-        lines.append(f"{len(ba)},{ncomp}")
-        for mins, _maxs in minmax:
-            lines.append(",".join(repr(float(v)) for v in mins) + ",")
-        lines.append("")
-        lines.append(f"{len(ba)},{ncomp}")
-        for _mins, maxs in minmax:
-            lines.append(",".join(repr(float(v)) for v in maxs) + ",")
     return "\n".join(lines) + "\n"
 
 
@@ -85,15 +71,12 @@ def build_cellh_arrays(
     ncomp: int,
     filenames: Sequence[str],
     offsets: np.ndarray,
-    mins: Optional[np.ndarray] = None,
-    maxs: Optional[np.ndarray] = None,
 ) -> str:
     """Render a level's ``Cell_H`` from the batched writer's arrays.
 
-    ``filenames[k]`` / ``offsets[k]`` place box ``k``; ``mins``/``maxs``
-    are optional ``(nfab, ncomp)`` float matrices.  Output is
+    ``filenames[k]`` / ``offsets[k]`` place box ``k``.  Output is
     byte-identical to :func:`build_cellh_text` fed the equivalent
-    :class:`FabLocation` / tuple-table inputs.
+    :class:`FabLocation` inputs.
     """
     n = len(ba)
     if len(filenames) != n or len(offsets) != n:
@@ -111,19 +94,4 @@ def build_cellh_arrays(
     lines.extend(
         f"FabOnDisk: {fn} {off}" for fn, off in zip(filenames, off_l)
     )
-    # Like build_cellh_text's `if minmax:` guard, an empty level emits no
-    # min/max section even in data mode.
-    if n and (mins is not None or maxs is not None):
-        if mins is None or maxs is None or len(mins) != n or len(maxs) != n:
-            raise ValueError(f"mins/maxs length must match box count n={n}")
-        lines.append("")
-        lines.append(f"{n},{ncomp}")
-        lines.extend(
-            ",".join(map(repr, row)) + "," for row in mins.tolist()
-        )
-        lines.append("")
-        lines.append(f"{n},{ncomp}")
-        lines.extend(
-            ",".join(map(repr, row)) + "," for row in maxs.tolist()
-        )
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ metadata, making them smaller per cell yet restart-complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..amr.boxarray import BoxArray
 from ..amr.distribution import DistributionMapping
@@ -21,6 +21,7 @@ from ..iosim.filesystem import FileSystem
 from .fab import fab_nbytes
 from .header import build_header_text
 from .varlist import STATE_VARS
+from .writer import _check_levels
 
 __all__ = ["CheckpointSpec", "write_checkpoint", "checkpoint_name"]
 
@@ -58,9 +59,7 @@ def write_checkpoint(
     metadata (time-step state included) and per-level ``Level_i/
     Cell_D_xxxxx`` files with the raw state FABs, one per owning task.
     """
-    nlev = len(geoms)
-    if not (len(boxarrays) == len(distributions) == nlev):
-        raise ValueError("geoms/boxarrays/distributions length mismatch")
+    _check_levels(geoms, boxarrays, distributions)
     cdir = checkpoint_name(spec.prefix, step)
     fs.mkdirs(cdir)
     header = build_header_text(
@@ -71,7 +70,7 @@ def write_checkpoint(
     n = fs.write_text(f"{cdir}/Header", header)
     if trace is not None:
         trace.record(step, -1, 0, n, f"{cdir}/Header", kind="metadata")
-    for lev in range(nlev):
+    for lev in range(len(geoms)):
         ba = boxarrays[lev]
         dm = distributions[lev]
         ldir = f"{cdir}/Level_{lev}"

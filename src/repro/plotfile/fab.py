@@ -1,21 +1,19 @@
-"""On-disk FAB encoding (AMReX ``FArrayBox`` binary format).
+"""On-disk FAB sizes (AMReX ``FArrayBox`` binary format).
 
 Each grid's data is stored in a ``Cell_D_xxxxx`` file as an ASCII FAB
-header line followed by raw doubles.  We reproduce the real format so
-that the byte accounting (and the real-filesystem writer) matches what
-Castro produces on Summit.
+header line followed by ``ncomp * numpts`` raw doubles.  We reproduce
+the real header format so that the byte accounting matches what Castro
+produces on Summit; the payload itself is never materialized.
 
 Size accounting is *closed form*: :func:`fab_nbytes` computes the header
 length arithmetically (digit counts of the box corners and component
 count) instead of rendering and encoding the header text, and
 :func:`fab_nbytes_array` does the same for a whole level of boxes in one
-vectorized pass.  ``fab_header`` remains the authoritative encoder; the
-equivalence suite pins the arithmetic byte-exact against it.
+vectorized pass.  ``fab_header`` renders the authoritative header line;
+the equivalence suite pins the arithmetic byte-exact against it.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -25,8 +23,6 @@ __all__ = [
     "fab_header",
     "fab_nbytes",
     "fab_nbytes_array",
-    "encode_fab",
-    "decode_fab_header",
 ]
 
 # The native-double descriptor AMReX writes on little-endian machines.
@@ -108,38 +104,3 @@ def fab_nbytes_array(
     )
     return header_len + np.asarray(numpts, dtype=np.int64) * (int(ncomp) * 8)
 
-
-def encode_fab(box: Box, data: np.ndarray) -> bytes:
-    """Serialize data of shape (ncomp, nx, ny) to the on-disk FAB bytes.
-
-    Component-major, Fortran order within each component, matching
-    AMReX's column-major storage.  The payload is written straight into
-    one preallocated buffer — one strided copy per component, no
-    ``stack``/``asfortranarray``/``astype`` intermediate chain.
-    """
-    ncomp = data.shape[0]
-    nx, ny = box.shape
-    if data.shape != (ncomp, nx, ny):
-        raise ValueError(f"data shape {data.shape} does not match box {box} / ncomp {ncomp}")
-    header = fab_header(box, ncomp).encode("ascii")
-    out = bytearray(len(header) + ncomp * nx * ny * 8)
-    out[: len(header)] = header
-    payload = np.frombuffer(
-        memoryview(out), dtype="<f8", count=ncomp * nx * ny, offset=len(header)
-    ).reshape(ncomp, ny, nx)
-    payload[...] = np.swapaxes(data, 1, 2)
-    return bytes(out)
-
-
-def decode_fab_header(line: str) -> Tuple[Box, int]:
-    """Parse a FAB header line back into (box, ncomp).
-
-    The real-number descriptor ends with ")))"; the box spec and the
-    component count follow it.
-    """
-    rest = line[line.index(")))") + 3 :]  # "((0,0) (31,31) (0,0)) 24"
-    body, _, ncomp_s = rest.rpartition(")")
-    pieces = body.replace("(", " ").replace(")", " ").split()
-    lo = tuple(int(v) for v in pieces[0].split(","))
-    hi = tuple(int(v) for v in pieces[1].split(","))
-    return Box((lo[0], lo[1]), (hi[0], hi[1])), int(ncomp_s.strip())

@@ -6,22 +6,15 @@ root and, per level, ``Level_i/Cell_H`` plus one ``Cell_D_xxxxx`` per
 MPI task *that owns data at that level* (the paper notes a file is only
 produced when a task has data at that level).
 
-Two modes share one batched code path:
-
-- **size mode** (default, any scale): FAB payloads are accounted, not
-  materialized — works on a :class:`~repro.iosim.filesystem.VirtualFileSystem`
-  at billions of cells.  All per-level accounting (file sizes, FAB
-  offsets, the rendered ``Cell_H``) is produced as a vectorized
-  *level plan* — closed-form :func:`~repro.plotfile.fab.fab_nbytes_array`
-  byte counts, owner grouping and prefix sums as single array ops — and
-  cached per ``(BoxArray identity, distribution, nvars)``, so repeat
-  dumps of an unchanged layout replay the plan instead of re-deriving it.
-- **data mode**: pass per-level ``MultiFab`` state and real bytes are
-  encoded, enabling the read-back tests and disk examples.  The derive
-  and encode stages are fused: one ``cons_to_prim``/derive pass over the
-  whole level batch (:func:`~repro.plotfile.derive.derive_fields_flat`),
-  per-FAB min/max as one ``reduceat`` per extreme, and each rank's blob
-  written component-major straight into one preallocated buffer.
+FAB payloads are accounted, not materialized: the paper measures bytes
+per rank, level and step, so the writer works on a
+:class:`~repro.iosim.filesystem.VirtualFileSystem` at billions of
+cells.  All per-level accounting (file sizes, FAB offsets, the rendered
+``Cell_H``) is produced as a vectorized *level plan* — closed-form
+:func:`~repro.plotfile.fab.fab_nbytes_array` byte counts, owner
+grouping and prefix sums as single array ops — and cached per
+``(BoxArray identity, distribution, nvars)``, so repeat dumps of an
+unchanged layout replay the plan instead of re-deriving it.
 """
 
 from __future__ import annotations
@@ -34,15 +27,12 @@ import numpy as np
 from ..amr.boxarray import BoxArray
 from ..amr.distribution import DistributionMapping
 from ..amr.geometry import Geometry
-from ..amr.multifab import MultiFab
-from ..hydro.eos import GammaLawEOS
 from ..iosim.darshan import IOTrace
 from ..iosim.filesystem import FileSystem
 from .. import sanitize
 from ..sanitize import frozen
 from .cellh import build_cellh_arrays
-from .derive import derive_fields_flat
-from .fab import fab_header, fab_nbytes_array
+from .fab import fab_nbytes_array
 from .header import build_header_text, build_job_info_text
 from .varlist import plot_variables
 
@@ -97,7 +87,6 @@ class _LevelPlan:
         "bounds",
         "fname_of_box",
         "cellh",
-        "_data_aux",
     )
 
     def __init__(self, ba: BoxArray, dm: DistributionMapping, nvars: int) -> None:
@@ -133,23 +122,6 @@ class _LevelPlan:
             which = np.searchsorted(uniq, ranks_arr)
             self.fname_of_box = [self.fnames[i] for i in which.tolist()]
         self.cellh = build_cellh_arrays(ba, nvars, self.fname_of_box, self.offsets)
-        self._data_aux: Optional[Tuple[list, np.ndarray, list]] = None
-
-    def data_aux(self, ba: BoxArray, nvars: int):
-        """Layout-invariant data-mode precomputation, built on first use:
-        per-box ``(nx, ny)`` shapes, cell-offset prefix sums, and the
-        encoded ASCII FAB headers."""
-        if self._data_aux is None:
-            cells = ba.box_sizes()
-            cell_start = np.cumsum(cells) - cells
-            los, his = ba.corners()
-            shapes = [
-                (int(h0 - l0 + 1), int(h1 - l1 + 1))
-                for (l0, l1), (h0, h1) in zip(los.tolist(), his.tolist())
-            ]
-            headers = [fab_header(b, nvars).encode("ascii") for b in ba]
-            self._data_aux = (shapes, cell_start, headers)
-        return self._data_aux
 
 
 _PLAN_CACHE: Dict[Tuple[int, Tuple[int, ...], int], _LevelPlan] = {}
@@ -191,66 +163,21 @@ def _level_plan(ba: BoxArray, dm: DistributionMapping, nvars: int) -> _LevelPlan
     return plan
 
 
-# ----------------------------------------------------------------------
-def _encode_level(
-    plan: _LevelPlan,
-    ba: BoxArray,
-    mf: MultiFab,
-    geom: Geometry,
-    eos: GammaLawEOS,
-    derive_all: bool,
-    nvars: int,
-) -> Tuple[List[bytearray], np.ndarray, np.ndarray]:
-    """Fused derive+encode of one level: per-rank blobs plus min/max.
-
-    Returns ``(buffers, mins, maxs)`` where ``buffers[i]`` is the ready
-    ``Cell_D`` content for ``plan.ranks[i]`` and ``mins``/``maxs`` are
-    ``(nfab, nvars)`` per-FAB component extrema.
-    """
-    n = len(ba)
-    if n == 0:
-        empty = np.empty((0, nvars), dtype=np.float64)
-        return [], empty, empty
-    shapes, cell_start, headers = plan.data_aux(ba, nvars)
-    total = int(cell_start[-1]) + shapes[-1][0] * shapes[-1][1]
-
-    # One gather of every interior into the flat level batch, then one
-    # derive pass for all boxes at once.
-    U = np.empty((mf.ncomp, total), dtype=np.float64)
-    for k in range(n):
-        s = int(cell_start[k])
-        nx, ny = shapes[k]
-        U[:, s : s + nx * ny] = mf[k].interior().reshape(mf.ncomp, -1)
-    fields = derive_fields_flat(U, shapes, eos, derive_all, geom.dx, geom.dy)
-
-    # Per-FAB component extrema: one reduceat per extreme over the whole
-    # (nvars, total) batch instead of 2*nvars Python floats per box.
-    seg_starts = cell_start.astype(np.intp)
-    mins = np.minimum.reduceat(fields, seg_starts, axis=1).T
-    maxs = np.maximum.reduceat(fields, seg_starts, axis=1).T
-
-    buffers: List[bytearray] = []
-    order = plan.order.tolist()
-    for ri in range(len(plan.ranks)):
-        buf = bytearray(int(plan.sizes[ri]))
-        for k in order[plan.bounds[ri] : plan.bounds[ri + 1]]:
-            nx, ny = shapes[k]
-            hdr = headers[k]
-            off = int(plan.offsets[k])
-            buf[off : off + len(hdr)] = hdr
-            s = int(cell_start[k])
-            seg = fields[:, s : s + nx * ny].reshape(nvars, nx, ny)
-            payload = np.frombuffer(
-                memoryview(buf),
-                dtype="<f8",
-                count=nvars * nx * ny,
-                offset=off + len(hdr),
-            ).reshape(nvars, ny, nx)
-            # Component-major, Fortran order within each component —
-            # one strided copy straight into the output buffer.
-            payload[...] = np.swapaxes(seg, 1, 2)
-        buffers.append(buf)
-    return buffers, mins, maxs
+def _check_levels(
+    geoms: Sequence[Geometry],
+    boxarrays: Sequence[BoxArray],
+    distributions: Sequence[DistributionMapping],
+) -> None:
+    """Reject a hierarchy whose per-level inputs do not line up: one
+    geometry, box array and distribution per level, and one rank per box."""
+    if not (len(boxarrays) == len(distributions) == len(geoms)):
+        raise ValueError("geoms/boxarrays/distributions length mismatch")
+    for lev, (ba, dm) in enumerate(zip(boxarrays, distributions)):
+        if len(dm) != len(ba):
+            raise ValueError(
+                f"distributions[{lev}] maps {len(dm)} boxes but "
+                f"boxarrays[{lev}] holds {len(ba)}"
+            )
 
 
 def write_plotfile(
@@ -262,8 +189,6 @@ def write_plotfile(
     boxarrays: Sequence[BoxArray],
     distributions: Sequence[DistributionMapping],
     ref_ratio: int = 2,
-    state: Optional[Sequence[MultiFab]] = None,
-    eos: Optional[GammaLawEOS] = None,
     trace: Optional[IOTrace] = None,
 ) -> str:
     """Write one dump; returns the plotfile directory path.
@@ -277,17 +202,12 @@ def write_plotfile(
     step, time:
         Dump identity.
     geoms, boxarrays, distributions:
-        Per-level mesh and ownership (coarsest first, equal lengths).
-    state:
-        Optional per-level conserved-state MultiFabs for data mode.
+        Per-level mesh and ownership (coarsest first, equal lengths; one
+        rank per box).
     trace:
         Optional I/O trace receiving one record per file written.
     """
-    nlev = len(geoms)
-    if not (len(boxarrays) == len(distributions) == nlev):
-        raise ValueError("geoms/boxarrays/distributions length mismatch")
-    if state is not None and len(state) != nlev:
-        raise ValueError("state must have one MultiFab per level")
+    _check_levels(geoms, boxarrays, distributions)
     var_names = spec.var_names
     nvars = len(var_names)
     pdir = plotfile_name(spec.prefix, step)
@@ -308,31 +228,19 @@ def write_plotfile(
     # ------------------------------------------------------------------
     # per-level data
     # ------------------------------------------------------------------
-    the_eos = eos or GammaLawEOS()
-    for lev in range(nlev):
+    for lev in range(len(geoms)):
         ba = boxarrays[lev]
         dm = distributions[lev]
         ldir = f"{pdir}/Level_{lev}"
         fs.mkdirs(ldir)
         plan = _level_plan(ba, dm, nvars)
         paths = [f"{ldir}/{fn}" for fn in plan.fnames]
-        if state is not None:
-            buffers, mins, maxs = _encode_level(
-                plan, ba, state[lev], geoms[lev], the_eos, spec.derive_all, nvars
-            )
-            sizes = [fs.write_bytes(p, buf) for p, buf in zip(paths, buffers)]
-            cellh = build_cellh_arrays(
-                ba, nvars, plan.fname_of_box, plan.offsets, mins, maxs
-            )
-        else:
-            # Size mode: the whole level's N-to-N burst is one batched
-            # filesystem call replaying the cached plan.
-            fs.write_many(paths, plan.sizes)
-            sizes = plan.sizes
-            cellh = plan.cellh
+        # The whole level's N-to-N burst is one batched filesystem call
+        # replaying the cached plan.
+        fs.write_many(paths, plan.sizes)
         if trace is not None and len(plan.ranks):
-            trace.record_batch(step, lev, plan.ranks, sizes, paths, kind="data")
-        n = fs.write_text(f"{ldir}/Cell_H", cellh)
+            trace.record_batch(step, lev, plan.ranks, plan.sizes, paths, kind="data")
+        n = fs.write_text(f"{ldir}/Cell_H", plan.cellh)
         if trace is not None:
             trace.record(step, lev, 0, n, f"{ldir}/Cell_H", kind="metadata")
     return pdir

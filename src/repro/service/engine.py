@@ -42,16 +42,9 @@ import numpy as np
 from ..campaign.cases import Case
 from ..campaign.store import ResultStore, StoreCorruptionWarning, _canonical
 from ..faults import active as _faults_active
-from ..core.growth import growth_series
-from ..core.interpolation import (
-    GrowthTable,
-    interpolate_growth,
-    paper_guidance_growth,
-)
-from ..core.part_size import part_size_model
-from ..core.predictor import DEFAULT_F, SizePrediction
-from ..core.regression import CaseFeatures, LinearModel
-from ..sim.inputs import CastroInputs
+from ..core.interpolation import GrowthTable
+from ..core.predictor import SizePrediction, size_series
+from ..core.regression import LinearModel
 from .lru import LRUCache
 from .plans import PlatformPlan
 from .resilience import Deadline, DeadlineExceeded, StoreCircuitBreaker
@@ -202,32 +195,19 @@ class PredictionService:
         return self.predict_many([request])[0]
 
     def _predict(self, req: PredictRequest) -> SizePrediction:
-        """One uncached prediction — ``predict_sizes`` semantics over
-        cached plan state (same formulas, same floats)."""
+        """One uncached prediction — ``predict_sizes``' own size series
+        (:func:`~repro.core.predictor.size_series`) with burst times from
+        the cached plan state (same floats)."""
         inputs, nprocs, machine = req.resolve()
         plan = self._plan(machine, nprocs)
-        if self.growth_table is not None and len(self.growth_table) > 0:
-            growth = interpolate_growth(
-                self.growth_table, inputs.cfl, inputs.max_level
-            )
-            source = "table"
-        elif self.regression is not None:
-            growth = self.regression.predict(
-                CaseFeatures(inputs.cfl, inputs.max_level, inputs.ncells_l0, nprocs)
-            )
-            source = "regression"
-        else:
-            growth = paper_guidance_growth(inputs.cfl, inputs.max_level + 1)
-            source = "guidance"
-        if growth <= 0:
-            raise ValueError(f"growth source produced non-positive growth {growth}")
-        base = part_size_model(req.f, inputs.n_cell[0], inputs.n_cell[1], nprocs) * nprocs
-        steps = growth_series(base, growth, inputs.n_outputs)
+        growth, source, steps = size_series(
+            inputs, nprocs, req.f, self.growth_table, self.regression
+        )
         return SizePrediction(
             inputs=inputs,
             nprocs=nprocs,
             f=req.f,
-            growth=float(growth),
+            growth=growth,
             growth_source=source,
             step_bytes=steps,
             cumulative_bytes=np.cumsum(steps),

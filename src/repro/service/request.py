@@ -24,6 +24,7 @@ responses come back one line per request, in request order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple, Union
 
@@ -95,8 +96,11 @@ class PredictRequest:
             if self.steps < 0:
                 raise ValueError(f"request {self.scenario!r}: steps must be >= 0")
             inputs = replace(inputs, max_step=self.steps)
-        if self.f <= 0:
-            raise ValueError(f"request {self.scenario!r}: f must be positive")
+        if not (math.isfinite(self.f) and self.f > 0):
+            raise ValueError(
+                f"request {self.scenario!r}: f must be positive and finite "
+                f"(got {self.f})"
+            )
         # resolves DEFAULT_MACHINE for None; raises UnknownMachineError
         return inputs, nprocs, get_platform(machine).name
 

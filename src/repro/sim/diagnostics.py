@@ -1,32 +1,21 @@
 """Run diagnostics (Castro's ``sum_interval`` summaries).
 
-Conservation and shock-tracking diagnostics the examples and validation
-tests use to confirm the solver behaves like a Sedov blast before its
-I/O pattern is trusted.
+Shock-tracking and radial-profile diagnostics the examples and
+validation tests use to confirm the solver behaves like a Sedov blast
+before its I/O pattern is trusted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..amr.geometry import Geometry
 from ..hydro.eos import GammaLawEOS
-from ..hydro.state import QP, QRHO, URHO, cons_to_prim
+from ..hydro.state import QP, cons_to_prim
 
-__all__ = ["conserved_totals", "shock_radius_estimate", "radial_profile"]
-
-
-def conserved_totals(U: np.ndarray, cell_volume: float) -> Tuple[float, float, float]:
-    """(mass, momentum magnitude, total energy) integrals of a patch."""
-    from ..hydro.state import UEDEN, UMX, UMY
-
-    mass = float(U[URHO].sum()) * cell_volume
-    mom = float(np.sqrt(U[UMX].sum() ** 2 + U[UMY].sum() ** 2)) * cell_volume
-    energy = float(U[UEDEN].sum()) * cell_volume
-    return mass, mom, energy
+__all__ = ["shock_radius_estimate", "radial_profile"]
 
 
 def shock_radius_estimate(

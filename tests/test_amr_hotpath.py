@@ -1,27 +1,23 @@
 """Equivalence suite for the AMR hot path.
 
 Every optimization in the hot path (vectorized ``buffer_tags``,
-amortized ``AmrHierarchy.regrid``, batched ``MultiFab.bytes_per_rank``)
-is pinned *bit-identical* against the seed implementations, which are
-kept here verbatim as the reference.  The final test replays a whole
-solver-engine ``CastroSim`` run with the seed paths monkeypatched back
-in and demands an identical ``SimResult``.
+amortized ``AmrHierarchy.regrid``) is pinned *bit-identical* against the
+seed implementations, which are kept here verbatim as the reference.
+The final test replays a whole solver-engine ``CastroSim`` run with the
+seed paths monkeypatched back in and demands an identical ``SimResult``.
 """
 
 import numpy as np
 import pytest
 
 import repro.amr.hierarchy as hierarchy_mod
-from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
 from repro.amr.cluster import ClusterParams, berger_rigoutsos
-from repro.amr.distribution import make_distribution, round_robin_map
+from repro.amr.distribution import make_distribution
 from repro.amr.grid import make_level_grids
 from repro.amr.hierarchy import AmrHierarchy, AmrParams, LevelState
 from repro.amr.interp import restrict_average
-from repro.amr.multifab import MultiFab
 from repro.amr.tagging import buffer_tags, tag_gradient
-from repro.hydro.state import NCOMP, QP, URHO, cons_to_prim
+from repro.hydro.state import QP, URHO, cons_to_prim
 from repro.sim.castro import CastroSim
 from repro.sim.inputs import CastroInputs
 
@@ -40,13 +36,6 @@ def seed_buffer_tags(tags: np.ndarray, n_buf: int) -> np.ndarray:
         grown[:, :-1] |= out[:, 1:]
         grown[:, 1:] |= out[:, :-1]
         out = grown
-    return out
-
-
-def seed_bytes_per_rank(mf: MultiFab) -> np.ndarray:
-    out = np.zeros(mf.distribution.nprocs, dtype=np.int64)
-    for k, fab in enumerate(mf.fabs):
-        out[mf.distribution[k]] += fab.nbytes_valid()
     return out
 
 
@@ -113,45 +102,6 @@ def seed_castro_regrid(sim: CastroSim) -> None:
         )
 
     sim.hierarchy.regrid(tag_fn)
-
-
-# ----------------------------------------------------------------------
-# layouts
-# ----------------------------------------------------------------------
-def grid_layout(nx=32, ny=32, bx=8, by=8):
-    """A bx-by tiling of the nx x ny domain."""
-    boxes = []
-    for i in range(0, nx, bx):
-        for j in range(0, ny, by):
-            boxes.append(Box((i, j), (i + bx - 1, j + by - 1)))
-    return BoxArray(boxes)
-
-
-def uneven_layout():
-    """Unequal boxes, still disjoint and domain-covering."""
-    return BoxArray(
-        [
-            Box((0, 0), (15, 23)),
-            Box((0, 24), (15, 31)),
-            Box((16, 0), (31, 7)),
-            Box((16, 8), (31, 31)),
-        ]
-    )
-
-
-LAYOUTS = {
-    "two-box": BoxArray([Box((0, 0), (15, 31)), Box((16, 0), (31, 31))]),
-    "4x4-grid": grid_layout(),
-    "uneven": uneven_layout(),
-}
-
-
-def random_multifab(ba, nprocs=3, seed=0):
-    mf = MultiFab(ba, round_robin_map(ba, nprocs), NCOMP, nghost=2)
-    rng = np.random.default_rng(seed)
-    for fab in mf:
-        fab.data[...] = rng.random(fab.data.shape)
-    return mf
 
 
 def annulus_tagger(radius, width):
@@ -221,25 +171,6 @@ class TestAmortizedRegrid:
             assert list(mine.boxarray.boxes) == list(ref.boxarray.boxes)
             assert mine.distribution.ranks == ref.distribution.ranks
         assert h.regrid_stats["levels_rebuilt"] >= 1
-
-
-# ----------------------------------------------------------------------
-# batched reductions
-# ----------------------------------------------------------------------
-class TestBatchedReductions:
-    def test_bytes_per_rank_bit_identical(self):
-        for ba in LAYOUTS.values():
-            mf = random_multifab(ba, nprocs=5, seed=21)
-            assert np.array_equal(mf.bytes_per_rank(), seed_bytes_per_rank(mf))
-            assert mf.bytes_per_rank().dtype == np.int64
-
-    def test_empty_multifab_named_errors(self):
-        mf = MultiFab(BoxArray([]), round_robin_map(BoxArray([]), 1), NCOMP)
-        with pytest.raises(ValueError, match="empty MultiFab"):
-            mf.min(0)
-        with pytest.raises(ValueError, match="empty MultiFab"):
-            mf.max(0)
-        assert mf.bytes_per_rank().tolist() == [0]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for inter-level transfer operators."""
+"""Tests for the inter-level restriction operator."""
 
 import numpy as np
 import pytest
@@ -6,43 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.amr.interp import prolong_bilinear, prolong_constant, restrict_average
-
-
-class TestProlongConstant:
-    def test_shape_and_values(self):
-        c = np.array([[1.0, 2.0], [3.0, 4.0]])
-        f = prolong_constant(c, 2)
-        assert f.shape == (4, 4)
-        assert (f[:2, :2] == 1.0).all()
-        assert (f[2:, 2:] == 4.0).all()
-
-    def test_1d_rejected(self):
-        with pytest.raises(ValueError):
-            prolong_constant(np.ones(4), 2)
-
-
-class TestProlongBilinear:
-    def test_constant_field_preserved(self):
-        c = np.full((4, 4), 3.7)
-        f = prolong_bilinear(c, 2)
-        assert np.allclose(f, 3.7)
-
-    def test_linear_field_reproduced_interior(self):
-        ncx = 8
-        x = (np.arange(ncx) + 0.5)
-        c = np.outer(x, np.ones(ncx))
-        f = prolong_bilinear(c, 2)
-        xf = (np.arange(2 * ncx) + 0.5) / 2
-        expect = np.outer(xf, np.ones(2 * ncx))
-        # interior fine cells reproduce the linear function exactly
-        assert np.allclose(f[2:-2, 2:-2], expect[2:-2, 2:-2])
-
-    def test_single_cell_input(self):
-        c = np.array([[5.0]])
-        f = prolong_bilinear(c, 4)
-        assert f.shape == (4, 4)
-        assert np.allclose(f, 5.0)
+from repro.amr.interp import restrict_average
 
 
 class TestRestrictAverage:
@@ -68,14 +32,7 @@ def test_restrict_conserves_total(fine, ratio):
 @settings(max_examples=30, deadline=None)
 @given(arrays(np.float64, (6, 6), elements=st.floats(-50, 50)), st.sampled_from([2, 3]))
 def test_prolong_then_restrict_identity(coarse, ratio):
-    """restrict(prolong_constant(c)) == c exactly."""
-    assert np.allclose(restrict_average(prolong_constant(coarse, ratio), ratio), coarse)
+    """Averaging down a piecewise-constant injection recovers the coarse data."""
+    fine = np.repeat(np.repeat(coarse, ratio, axis=0), ratio, axis=1)
+    assert np.allclose(restrict_average(fine, ratio), coarse)
 
-
-@settings(max_examples=30, deadline=None)
-@given(arrays(np.float64, (6, 6), elements=st.floats(-50, 50)))
-def test_bilinear_within_coarse_range(coarse):
-    """Bilinear interpolation never over/undershoots the coarse extrema."""
-    f = prolong_bilinear(coarse, 2)
-    assert f.max() <= coarse.max() + 1e-9
-    assert f.min() >= coarse.min() - 1e-9

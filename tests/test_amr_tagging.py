@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.amr.tagging import TagCriteria, buffer_tags, tag_gradient, tagged_boxes_1cell
+from repro.amr.tagging import TagCriteria, buffer_tags, tag_gradient
 
 
 class TestGradientTagging:
@@ -67,17 +67,6 @@ class TestBufferTags:
         tags[0, 0] = True
         out = buffer_tags(tags, 1)
         assert out.sum() == 3  # (0,0), (1,0), (0,1)
-
-
-class TestTaggedBoxes:
-    def test_one_box_per_cell(self):
-        tags = np.zeros((4, 4), bool)
-        tags[1, 2] = True
-        tags[3, 0] = True
-        boxes = tagged_boxes_1cell(tags, origin=(10, 20))
-        assert len(boxes) == 2
-        assert boxes[0].lo == (11, 22)
-        assert boxes[1].lo == (13, 20)
 
 
 @given(arrays(bool, (12, 12)), st.integers(0, 3))

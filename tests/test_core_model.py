@@ -46,6 +46,9 @@ class TestEq3:
             part_size_model(24, 512, 512, 0)
         with pytest.raises(ValueError):
             part_size_model(24, 0, 512, 2)
+        for f in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="f must be positive and finite"):
+                part_size_model(f, 512, 512, 32)
 
     def test_fit_inverts_model(self):
         f_true = 24.5
@@ -173,6 +176,9 @@ class TestTranslator:
     def test_validation(self):
         with pytest.raises(ValueError):
             ProxyModel(f=-1.0, dataset_growth=1.0)
+        for f in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="f must be positive and finite"):
+                ProxyModel(f=f, dataset_growth=1.0)
         with pytest.raises(ValueError):
             ProxyModel(f=24.0, dataset_growth=0.0)
         with pytest.raises(ValueError):

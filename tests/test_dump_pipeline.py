@@ -1,13 +1,11 @@
 """Equivalence suite: the batched dump pipeline vs. the seed per-fab path.
 
-Pins the plan-cached/fused ``write_plotfile`` (and the closed-form FAB
-accounting, batched derive, and vectorized inspector underneath it)
-bit-for-bit against the seed implementations, kept verbatim below:
+Pins the plan-cached ``write_plotfile`` (and the closed-form FAB
+accounting and vectorized inspector underneath it) bit-for-bit against
+the seed implementations, kept verbatim below:
 
-- size mode: every path and size identical, every metadata text file
-  (``Header``, ``job_info``, ``Cell_H``) byte-identical, traces equal;
-- data mode: identical ``Cell_D`` bytes, ``Cell_H`` min/max text, and
-  trace records;
+- every path and size identical, every metadata text file (``Header``,
+  ``job_info``, ``Cell_H``) byte-identical, traces equal;
 - ``inspect_plotfile`` results equal on both virtual and real
   filesystems.
 """
@@ -21,13 +19,9 @@ from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
 from repro.amr.distribution import make_distribution, round_robin_map
 from repro.amr.geometry import Geometry
-from repro.amr.multifab import MultiFab
-from repro.hydro.eos import GammaLawEOS
-from repro.hydro.state import NCOMP
 from repro.iosim.darshan import IOTrace
 from repro.iosim.filesystem import RealFileSystem, VirtualFileSystem
 from repro.plotfile.cellh import FabLocation, build_cellh_text
-from repro.plotfile.derive import derive_fields, derive_fields_flat
 from repro.plotfile.fab import fab_header, fab_nbytes, fab_nbytes_array
 from repro.plotfile.header import build_job_info_text
 from repro.plotfile.reader import (
@@ -38,23 +32,12 @@ from repro.plotfile.reader import (
 )
 from repro.plotfile.writer import PlotfileSpec, clear_plan_cache, write_plotfile
 
-EOS = GammaLawEOS()
-
 
 # ----------------------------------------------------------------------
 # The seed implementations, verbatim (the baseline).
 # ----------------------------------------------------------------------
 def seed_fab_nbytes(box, ncomp):
     return len(fab_header(box, ncomp).encode("ascii")) + box.numpts * ncomp * 8
-
-
-def seed_encode_fab(box, data):
-    ncomp = data.shape[0]
-    header = fab_header(box, ncomp).encode("ascii")
-    payload = np.ascontiguousarray(
-        np.stack([np.asfortranarray(data[c]).ravel(order="F") for c in range(ncomp)])
-    ).astype("<f8").tobytes()
-    return header + payload
 
 
 def seed_build_header_text(var_names, geoms, boxarrays, time_, step, ref_ratio):
@@ -93,7 +76,7 @@ def seed_build_header_text(var_names, geoms, boxarrays, time_, step, ref_ratio):
 
 
 def seed_write_plotfile(fs, spec, step, time_, geoms, boxarrays, distributions,
-                        ref_ratio=2, state=None, eos=None, trace=None):
+                        ref_ratio=2, trace=None):
     var_names = spec.var_names
     nvars = len(var_names)
     pdir = f"{spec.prefix}{step:05d}"
@@ -115,43 +98,22 @@ def seed_write_plotfile(fs, spec, step, time_, geoms, boxarrays, distributions,
         for k in range(len(ba)):
             rank_boxes.setdefault(dm[k], []).append(k)
         locations = [None] * len(ba)
-        minmax = [([0.0] * nvars, [0.0] * nvars) for _ in range(len(ba))]
         ranks = sorted(rank_boxes)
         paths = [f"{ldir}/Cell_D_{rank:05d}" for rank in ranks]
         sizes = []
         for rank, path in zip(ranks, paths):
             fname = path.rsplit("/", 1)[-1]
             offset = 0
-            chunks = []
             for k in rank_boxes[rank]:
                 box = ba[k]
                 locations[k] = FabLocation(fname, offset)
-                if state is not None:
-                    fields = derive_fields(
-                        state[lev][k].interior(), eos or GammaLawEOS(),
-                        spec.derive_all, geoms[lev].dx, geoms[lev].dy,
-                    )
-                    blob = seed_encode_fab(box, fields)
-                    chunks.append(blob)
-                    offset += len(blob)
-                    minmax[k] = (
-                        [float(fields[c].min()) for c in range(nvars)],
-                        [float(fields[c].max()) for c in range(nvars)],
-                    )
-                else:
-                    offset += seed_fab_nbytes(box, nvars)
-            if state is not None:
-                sizes.append(fs.write_bytes(path, b"".join(chunks)))
-            else:
-                sizes.append(offset)
-        if state is None:
-            fs.write_many(paths, sizes)
+                offset += seed_fab_nbytes(box, nvars)
+            sizes.append(offset)
+        fs.write_many(paths, sizes)
         if trace is not None and ranks:
             trace.record_batch(step, lev, ranks, sizes, paths, kind="data")
         cellh = build_cellh_text(
-            ba, nvars,
-            [loc for loc in locations if loc is not None],
-            minmax if state is not None else (),
+            ba, nvars, [loc for loc in locations if loc is not None]
         )
         n = fs.write_text(f"{ldir}/Cell_H", cellh)
         if trace is not None:
@@ -214,26 +176,10 @@ def three_level_setup(nprocs=5):
     return [g0, g1, g2], [ba0, ba1, ba2], dms
 
 
-def filled_state(bas, dms, seed=3):
-    rng = np.random.default_rng(seed)
-    state = []
-    for ba, dm in zip(bas, dms):
-        mf = MultiFab(ba, dm, NCOMP, nghost=2)
-        for fab in mf:
-            fab.data[0] = 1.0 + rng.random(fab.data[0].shape)
-            fab.data[1] = 0.2 * rng.standard_normal(fab.data[0].shape)
-            fab.data[2] = 0.2 * rng.standard_normal(fab.data[0].shape)
-            fab.data[3] = 2.5 + rng.random(fab.data[0].shape)
-        state.append(mf)
-    return state
-
-
-def assert_equal_trees(fs_a, fs_b, *, content=False):
+def assert_equal_trees(fs_a, fs_b):
     assert fs_a.files() == fs_b.files()
     for p in fs_a.files():
         assert fs_a.size(p) == fs_b.size(p), p
-        if content:
-            assert fs_a.read_bytes(p) == fs_b.read_bytes(p), p
 
 
 # ----------------------------------------------------------------------
@@ -258,29 +204,6 @@ class TestClosedFormFabAccounting:
             los, his = ba.corners()
             arr = fab_nbytes_array(los, his, ba.box_sizes(), ncomp)
             assert arr.tolist() == [fab_nbytes(b, ncomp) for b in boxes]
-
-
-class TestBatchedDerive:
-    def test_flat_matches_per_patch(self):
-        rng = np.random.default_rng(1)
-        shapes = [(8, 8), (5, 13), (16, 4)]
-        patches = []
-        for nx, ny in shapes:
-            U = np.empty((NCOMP, nx, ny))
-            U[0] = 1.0 + rng.random((nx, ny))
-            U[1] = 0.3 * rng.standard_normal((nx, ny))
-            U[2] = 0.3 * rng.standard_normal((nx, ny))
-            U[3] = 2.5 + rng.random((nx, ny))
-            patches.append(U)
-        flat = np.concatenate([U.reshape(NCOMP, -1) for U in patches], axis=1)
-        for derive_all in (True, False):
-            batched = derive_fields_flat(flat, shapes, EOS, derive_all, 0.5, 0.25)
-            s = 0
-            for U, (nx, ny) in zip(patches, shapes):
-                single = derive_fields(U, EOS, derive_all, 0.5, 0.25)
-                seg = batched[:, s : s + nx * ny].reshape(-1, nx, ny)
-                assert np.array_equal(seg, single)
-                s += nx * ny
 
 
 class TestSizeModeEquivalence:
@@ -333,49 +256,16 @@ class TestSizeModeEquivalence:
         dm0 = round_robin_map(ba0, 1)
         dm1 = round_robin_map(ba1, 1)
         spec = PlotfileSpec(prefix="plt", nprocs=1)
-        for state in (None, filled_state([ba0, ba1], [dm0, dm1], seed=5)):
-            fs_a = VirtualFileSystem(keep_content=True)
-            fs_b = VirtualFileSystem(keep_content=True)
-            clear_plan_cache()
-            seed_write_plotfile(fs_a, spec, 0, 0.0, [g0, g1], [ba0, ba1],
-                                [dm0, dm1], state=state, eos=EOS)
-            write_plotfile(fs_b, spec, 0, 0.0, [g0, g1], [ba0, ba1],
-                           [dm0, dm1], state=state, eos=EOS)
-            assert_equal_trees(fs_a, fs_b, content=state is not None)
-            # the empty level's Cell_H text matches the seed byte-for-byte
-            # (in particular: no spurious min/max section in data mode)
-            assert fs_a.read_bytes("plt00000/Level_1/Cell_H") == \
-                fs_b.read_bytes("plt00000/Level_1/Cell_H")
-
-
-class TestDataModeEquivalence:
-    def test_cell_d_bytes_and_cellh_text_identical(self):
-        geoms, bas, dms = three_level_setup()
-        state = filled_state(bas, dms)
-        for derive_all in (True, False):
-            spec = PlotfileSpec(prefix="plt", nprocs=5, derive_all=derive_all)
-            fs_a = VirtualFileSystem(keep_content=True)
-            fs_b = VirtualFileSystem(keep_content=True)
-            tr_a, tr_b = IOTrace(), IOTrace()
-            clear_plan_cache()
-            seed_write_plotfile(fs_a, spec, 5, 0.25, geoms, bas, dms,
-                                state=state, eos=EOS, trace=tr_a)
-            write_plotfile(fs_b, spec, 5, 0.25, geoms, bas, dms,
-                           state=state, eos=EOS, trace=tr_b)
-            assert_equal_trees(fs_a, fs_b, content=True)
-            assert tr_a.bytes_step_level_rank() == tr_b.bytes_step_level_rank()
-
-    def test_data_mode_on_real_filesystem(self, tmp_path):
-        geoms, bas, dms = three_level_setup()
-        state = filled_state(bas, dms, seed=11)
-        spec = PlotfileSpec(prefix="plt", nprocs=5)
-        fs_a = RealFileSystem(str(tmp_path / "seed"))
-        fs_b = RealFileSystem(str(tmp_path / "new"))
-        seed_write_plotfile(fs_a, spec, 2, 0.5, geoms, bas, dms,
-                            state=state, eos=EOS)
-        write_plotfile(fs_b, spec, 2, 0.5, geoms, bas, dms,
-                       state=state, eos=EOS)
-        assert_equal_trees(fs_a, fs_b, content=True)
+        fs_a = VirtualFileSystem(keep_content=True)
+        fs_b = VirtualFileSystem(keep_content=True)
+        clear_plan_cache()
+        seed_write_plotfile(fs_a, spec, 0, 0.0, [g0, g1], [ba0, ba1],
+                            [dm0, dm1])
+        write_plotfile(fs_b, spec, 0, 0.0, [g0, g1], [ba0, ba1], [dm0, dm1])
+        assert_equal_trees(fs_a, fs_b)
+        # the empty level's Cell_H text matches the seed byte-for-byte
+        assert fs_a.read_bytes("plt00000/Level_1/Cell_H") == \
+            fs_b.read_bytes("plt00000/Level_1/Cell_H")
 
 
 class TestInspectEquivalence:

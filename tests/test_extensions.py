@@ -83,6 +83,12 @@ class TestPredictor:
         with pytest.raises(ValueError):
             predict_sizes(self._inputs(), 0)
 
+    @pytest.mark.parametrize("f", [float("nan"), float("inf")])
+    def test_non_finite_f_rejected(self, f):
+        """NaN slips through ``f <= 0``; it must not become a NaN series."""
+        with pytest.raises(ValueError, match="f must be positive and finite"):
+            predict_sizes(self._inputs(), 32, f=f)
+
     def test_summary(self):
         s = predict_sizes(self._inputs(), 32).summary()
         assert "512x512" in s and "guidance" in s

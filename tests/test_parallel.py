@@ -1,81 +1,11 @@
-"""Tests for the simulated MPI substrate."""
+"""Tests for the rank-to-node job topology."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.parallel.comm import RankView, SimComm
 from repro.parallel.topology import JobTopology
-
-
-class TestSimComm:
-    def test_size(self):
-        assert SimComm(8).size == 8
-        assert SimComm(8).Get_size() == 8
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            SimComm(0)
-
-    def test_collectives(self):
-        comm = SimComm(4)
-        vals = [1.0, 2.0, 3.0, 4.0]
-        assert comm.allreduce_sum(vals) == 10.0
-        assert comm.allreduce_max(vals) == 4.0
-        assert comm.allreduce_min(vals) == 1.0
-        assert comm.gather(vals) == vals
-
-    def test_collective_length_checked(self):
-        comm = SimComm(4)
-        with pytest.raises(ValueError):
-            comm.allreduce_sum([1.0, 2.0])
-
-    def test_bcast(self):
-        comm = SimComm(3)
-        out = comm.bcast({"a": 1})
-        assert len(out) == 3
-        assert all(o is out[0] for o in out)
-
-
-class TestVirtualClock:
-    def test_advance_and_barrier(self):
-        comm = SimComm(3)
-        comm.advance(0, 1.0)
-        comm.advance(1, 5.0)
-        t = comm.barrier()
-        assert t == 5.0
-        assert (comm.clocks() == 5.0).all()
-
-    def test_advance_all(self):
-        comm = SimComm(2)
-        comm.advance_all([1.0, 2.0])
-        assert comm.clock(0) == 1.0
-        assert comm.clock(1) == 2.0
-
-    def test_negative_time_rejected(self):
-        comm = SimComm(2)
-        with pytest.raises(ValueError):
-            comm.advance(0, -1.0)
-        with pytest.raises(ValueError):
-            comm.advance_all([-1.0, 0.0])
-
-    def test_reset(self):
-        comm = SimComm(2)
-        comm.advance(0, 3.0)
-        comm.reset_clocks()
-        assert (comm.clocks() == 0.0).all()
-
-
-class TestRankView:
-    def test_valid(self):
-        comm = SimComm(4)
-        rv = RankView(comm, 3)
-        assert rv.size == 4
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            RankView(SimComm(2), 2)
 
 
 class TestTopology:

@@ -7,13 +7,9 @@ from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
 from repro.amr.distribution import DistributionMapping, round_robin_map
 from repro.amr.geometry import Geometry
-from repro.amr.multifab import MultiFab
-from repro.hydro.eos import GammaLawEOS
-from repro.hydro.state import NCOMP
 from repro.iosim.darshan import IOTrace
 from repro.iosim.filesystem import VirtualFileSystem
-from repro.plotfile.derive import derive_fields
-from repro.plotfile.fab import decode_fab_header, encode_fab, fab_header, fab_nbytes
+from repro.plotfile.fab import fab_header, fab_nbytes
 from repro.plotfile.header import build_header_text, build_job_info_text
 from repro.plotfile.reader import inspect_plotfile, list_plotfiles
 from repro.plotfile.varlist import N_PLOT_VARS_ALL, plot_variables
@@ -45,34 +41,6 @@ class TestFabFormat:
         b = Box((0, 0), (7, 7))
         expect = len(fab_header(b, 3)) + 64 * 3 * 8
         assert fab_nbytes(b, 3) == expect
-
-    def test_encode_size_matches_model(self):
-        b = Box((4, 4), (11, 9))
-        data = np.random.default_rng(0).random((5,) + b.shape)
-        blob = encode_fab(b, data)
-        assert len(blob) == fab_nbytes(b, 5)
-
-    def test_encode_shape_checked(self):
-        with pytest.raises(ValueError):
-            encode_fab(Box((0, 0), (3, 3)), np.zeros((2, 5, 4)))
-
-    def test_header_roundtrip(self):
-        b = Box((-2, 3), (17, 40))
-        box2, ncomp = decode_fab_header(fab_header(b, 24))
-        assert box2 == b
-        assert ncomp == 24
-
-    def test_payload_roundtrip_fortran_order(self):
-        b = Box((0, 0), (2, 1))
-        data = np.arange(12, dtype=np.float64).reshape(2, 3, 2)
-        blob = encode_fab(b, data)
-        header_len = len(fab_header(b, 2))
-        payload = np.frombuffer(blob[header_len:], dtype="<f8")
-        # first component, column-major: (0,0),(1,0),(2,0),(0,1)...
-        assert payload[0] == data[0, 0, 0]
-        assert payload[1] == data[0, 1, 0]
-        assert payload[3] == data[0, 0, 1]
-        assert payload[6] == data[1, 0, 0]
 
 
 class TestHeaderText:
@@ -154,27 +122,48 @@ class TestWriter:
         assert trace.total_bytes("data") == info.data_bytes
 
     def test_data_mode_matches_size_mode(self):
-        """Real encoded bytes must equal the size-mode accounting."""
+        """Real encoded bytes must equal the size-mode accounting.
+
+        Each Cell_D holds its FABs back to back in box order: every Cell_H
+        offset, and each file's size, is the running length of the encoded
+        FABs (ASCII header plus nvars*numpts ``<f8`` values)."""
+        g0 = Geometry(Box.cell_centered(64, 64))
+        g1 = g0.refine(2)
+        ba0 = BoxArray([Box((0, 0), (31, 31)), Box((32, 0), (63, 31)),
+                        Box((0, 32), (31, 63)), Box((32, 32), (63, 63))])
+        ba1 = BoxArray([Box((40, 40), (71, 55)), Box((40, 56), (71, 71)),
+                        Box((72, 40), (87, 71))])
+        dms = [round_robin_map(ba0, 2), DistributionMapping((1, 1, 0), 2)]
+        fs = VirtualFileSystem(keep_content=True)
+        pdir = write_plotfile(fs, PlotfileSpec(nprocs=2), 0, 0.0,
+                              [g0, g1], [ba0, ba1], dms)
+        nvars = N_PLOT_VARS_ALL
+        for lev, ba in enumerate((ba0, ba1)):
+            ldir = f"{pdir}/Level_{lev}"
+            cellh = fs.read_bytes(f"{ldir}/Cell_H").decode("ascii")
+            placed = [line.split()[1:] for line in cellh.splitlines()
+                      if line.startswith("FabOnDisk: ")]
+            assert len(placed) == len(ba)
+            end = {}
+            for box, (fname, offset) in zip(ba, placed):
+                assert int(offset) == end.get(fname, 0), (lev, box)
+                blob = fab_header(box, nvars).encode("ascii") + np.zeros(
+                    nvars * box.numpts, dtype="<f8").tobytes()
+                end[fname] = int(offset) + len(blob)
+            cell_d = [p for p in fs.files(ldir) if "/Cell_D_" in p]
+            assert {p: fs.size(p) for p in cell_d} == {
+                f"{ldir}/{fname}": n for fname, n in end.items()}
+
+    @pytest.mark.parametrize("ranks", [(0, 1, 1), (0,)])
+    def test_distribution_length_mismatch_rejected(self, ranks):
+        """A level's mapping must hold one rank per box: longer or shorter
+        is a named error, before anything is written."""
+        fs = VirtualFileSystem()
         geoms, bas, dms = make_two_level_setup()
-        state = [
-            MultiFab(bas[lev], dms[lev], NCOMP, nghost=0) for lev in range(2)
-        ]
-        for mf in state:
-            for fab in mf:
-                fab.data[0] = 1.0
-                fab.data[3] = 2.5
-        fs_size = VirtualFileSystem()
-        fs_data = VirtualFileSystem()
-        spec = PlotfileSpec(nprocs=4)
-        p1 = write_plotfile(fs_size, spec, 0, 0.0, geoms, bas, dms)
-        p2 = write_plotfile(
-            fs_data, spec, 0, 0.0, geoms, bas, dms, state=state, eos=GammaLawEOS()
-        )
-        i1 = inspect_plotfile(fs_size, p1)
-        i2 = inspect_plotfile(fs_data, p2)
-        assert i1.data_bytes == i2.data_bytes
-        for lev in (0, 1):
-            assert i1.levels[lev].task_bytes == i2.levels[lev].task_bytes
+        dms[0] = DistributionMapping(ranks, 2)
+        with pytest.raises(ValueError, match=r"distributions\[0\] maps"):
+            write_plotfile(fs, PlotfileSpec(nprocs=2), 0, 0.0, geoms, bas, dms)
+        assert fs.files() == []
 
     def test_trace_granularity(self):
         fs = VirtualFileSystem()
@@ -205,24 +194,3 @@ class TestReader:
             write_plotfile(fs, spec, step, 0.0, geoms, bas, dms)
         found = list_plotfiles(fs, "plt")
         assert [s for s, _ in found] == [0, 20, 40]
-
-
-class TestDerive:
-    def test_shapes_and_finiteness(self):
-        U = np.zeros((NCOMP, 8, 8))
-        U[0] = 1.0
-        U[3] = 2.5
-        fields = derive_fields(U, GammaLawEOS(), derive_all=True)
-        assert fields.shape == (24, 8, 8)
-        assert np.isfinite(fields).all()
-
-    def test_pressure_field_value(self):
-        U = np.zeros((NCOMP, 4, 4))
-        U[0] = 1.0
-        U[3] = 2.5  # p = 1
-        fields = derive_fields(U, GammaLawEOS(), derive_all=True)
-        names = plot_variables(True)
-        p = fields[names.index("pressure")]
-        assert np.allclose(p, 1.0)
-        mach = fields[names.index("MachNumber")]
-        assert np.allclose(mach, 0.0)

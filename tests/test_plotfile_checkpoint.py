@@ -5,7 +5,7 @@ import pytest
 
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
-from repro.amr.distribution import round_robin_map
+from repro.amr.distribution import DistributionMapping, round_robin_map
 from repro.amr.geometry import Geometry
 from repro.amr.grid import GridParams, make_level_grids, refine_grid_layout
 from repro.iosim.darshan import IOTrace
@@ -89,3 +89,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             write_checkpoint(VirtualFileSystem(), CheckpointSpec(), 0, 0.0,
                              geoms, bas[:1], dms)
+
+    @pytest.mark.parametrize("ranks", [(0, 1), ()])
+    def test_distribution_length_mismatch_rejected(self, ranks):
+        """A level's mapping must hold one rank per box: a longer one is
+        not silently truncated and a shorter one is a named error, not a
+        bare ``IndexError``."""
+        fs = VirtualFileSystem()
+        geoms, bas, dms = self._setup()
+        dms[1] = DistributionMapping(ranks, 2)
+        with pytest.raises(ValueError, match=r"distributions\[1\] maps"):
+            write_checkpoint(fs, CheckpointSpec(nprocs=2), 0, 0.0, geoms, bas, dms)
+        assert fs.files() == []

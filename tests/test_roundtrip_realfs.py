@@ -1,8 +1,10 @@
 """End-to-end round trips through the *real* filesystem backend.
 
-The size-accounting (virtual) and data (real bytes on disk) paths must
-agree — this is what lets the campaign trust virtual-FS numbers.
+The virtual (size-only) and real (files on disk) backends must agree —
+this is what lets the campaign trust virtual-FS numbers.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from repro.campaign.runner import run_case
 from repro.iosim.filesystem import RealFileSystem, VirtualFileSystem
 from repro.macsio.dump import run_macsio
 from repro.macsio.params import MacsioParams
-from repro.plotfile.fab import decode_fab_header
 from repro.plotfile.reader import inspect_plotfile, list_plotfiles
 
 
@@ -57,36 +58,49 @@ class TestSolverRealFS:
 
 class TestDataModeOnDisk:
     def test_written_fab_headers_parse(self, tmp_path):
-        """A data-mode plotfile's Cell_D content starts with a valid
-        FAB header whose box matches the Cell_H box list."""
+        """A Cell_D on disk filled with real FABs keeps the size the writer
+        gave it, and at each Cell_H offset starts a valid FAB header whose
+        box matches the Cell_H box list."""
         from repro.amr.box import Box
         from repro.amr.boxarray import BoxArray
         from repro.amr.distribution import round_robin_map
         from repro.amr.geometry import Geometry
-        from repro.amr.multifab import MultiFab
-        from repro.hydro.eos import GammaLawEOS
-        from repro.hydro.state import NCOMP
+        from repro.plotfile.fab import fab_header
         from repro.plotfile.writer import PlotfileSpec, write_plotfile
 
         fs = RealFileSystem(str(tmp_path))
         geom = Geometry(Box.cell_centered(16, 16))
-        ba = BoxArray([Box((0, 0), (15, 15))])
-        dm = round_robin_map(ba, 1)
-        mf = MultiFab(ba, dm, NCOMP)
-        mf[0].data[0] = 1.0
-        mf[0].data[3] = 2.5
+        ba = BoxArray([Box((0, 0), (7, 15)), Box((8, 0), (15, 15))])
         pdir = write_plotfile(
             fs, PlotfileSpec(prefix="plt", nprocs=1), 0, 0.0,
-            [geom], [ba], [dm], state=[mf], eos=GammaLawEOS(),
+            [geom], [ba], [round_robin_map(ba, 1)],
         )
-        blob = fs.read_bytes(f"{pdir}/Level_0/Cell_D_00000")
-        first_line = blob.split(b"\n", 1)[0].decode("ascii") + "\n"
-        box, ncomp = decode_fab_header(first_line)
-        assert box == Box((0, 0), (15, 15))
-        assert ncomp == 24
-        # payload holds ncomp * numpts doubles
-        payload = blob.split(b"\n", 1)[1]
-        assert len(payload) == 24 * 256 * 8
+        cellh = fs.read_bytes(f"{pdir}/Level_0/Cell_H").decode("ascii")
+        box_re = r"\(\((-?\d+),(-?\d+)\) \((-?\d+),(-?\d+)\) \(0,0\)\)"
+        boxes = re.findall(rf"^{box_re}$", cellh, re.M)
+        offsets = [int(line.split()[2]) for line in cellh.splitlines()
+                   if line.startswith("FabOnDisk: Cell_D_00000 ")]
+        assert len(boxes) == len(offsets) == 2
+
+        path = f"{pdir}/Level_0/Cell_D_00000"
+        reserved = fs.size(path)
+        fs.write_bytes(path, b"".join(
+            fab_header(b, 24).encode("ascii")
+            + np.full(24 * b.numpts, 2.5, dtype="<f8").tobytes()
+            for b in ba
+        ))
+        assert fs.size(path) == reserved
+
+        blob = fs.read_bytes(path)
+        for box, off in zip(boxes, offsets):
+            end = blob.index(b"\n", off)
+            m = re.fullmatch(rf"FAB .*{box_re} (\d+)",
+                             blob[off:end].decode("ascii"))
+            assert m is not None and m.groups() == (*box, "24")
+            # payload holds ncomp * numpts doubles
+            npts = (int(box[2]) - int(box[0]) + 1) * (int(box[3]) - int(box[1]) + 1)
+            payload = np.frombuffer(blob, "<f8", 24 * npts, end + 1)
+            assert np.all(payload == 2.5)
 
 
 class TestRealWriteMany:

@@ -254,6 +254,19 @@ class TestWireForm:
         for payload in responses:
             json.loads(json.dumps(payload))
 
+    @pytest.mark.parametrize("f", ["NaN", "Infinity"])
+    def test_non_finite_f_is_a_per_request_error(self, f):
+        """``json.loads`` accepts NaN/Infinity; they must not come back as
+        ``ok`` with NaN sizes (which is not RFC 8259 JSON either)."""
+        lines = ['{"scenario":"case4","f":%s}' % f,
+                 json.dumps({"scenario": "case4", "nprocs": 4, "steps": 10})]
+        responses, report = serve_lines(PredictionService(), lines)
+        assert not responses[0]["ok"]
+        assert "f must be positive and finite" in responses[0]["error"]
+        assert responses[1]["ok"] and report.n_errors == 1
+        for payload in responses:
+            json.dumps(payload, allow_nan=False)
+
     def test_serve_lines_storeless_lookup_is_per_request_error(self):
         service = PredictionService()
         lines = [json.dumps({"op": "lookup", "scenario": "case4"}),

@@ -97,7 +97,7 @@ FULL_SIZE_CHECKS: Dict[str, Callable[[dict], List[str]]] = {
     ),
     "BENCH_dump.json": lambda p: _full_size(p, *(
         _floor(f"{row} speedup", p[row]["speedup"], p[row]["floor"])
-        for row in ("size_mode", "data_mode", "inspect")
+        for row in ("size_mode", "inspect")
     )),
     "BENCH_platforms.json": lambda p: _full_size(
         p, _floor("min burst speedup", p["min_speedup"], p["speedup_floor"])

@@ -590,8 +590,7 @@ class HotLoopSmell(Rule):
     slug = "loop"
     title = "per-fab/per-rank loop in a hot module"
 
-    _HOT = ("src/repro/hydro/", "src/repro/amr/multifab.py",
-            "src/repro/iosim/storage.py")
+    _HOT = ("src/repro/hydro/", "src/repro/iosim/storage.py")
     _FAB_NAMES = {"mf", "mfs", "fabs", "multifab"}
     _RANK_NAMES = {"nprocs", "ranks", "nranks"}
 
