@@ -44,9 +44,8 @@ perfbench-selftest:
 	python3 perfbench/selftest.py
 
 # Full-size run of the trace substrate bench (columnar vs event-list
-# aggregations at 10^6 records, per-record append parity, and the
-# 10^8-record spill scale-out child with its RSS ceiling); writes
-# BENCH_trace.json.
+# aggregations at 10^4-10^6 records, the >=10x aggregation floor at
+# 10^6 and per-record append parity); writes BENCH_trace.json.
 bench-trace:
 	$(PYTHON) -m pytest benchmarks/bench_trace_columnar.py -q -o python_files='bench_*.py'
 

@@ -6,7 +6,7 @@ replays identical record streams (10^4 / 10^5 / 10^6 records) into
 
 1. **legacy** — the seed's ``List[IORecord]`` trace, every aggregation
    a Python loop over records (kept below as the reference), and
-2. **columnar** — the chunked-NumPy :class:`repro.iosim.darshan.IOTrace`
+2. **columnar** — the NumPy-column :class:`repro.iosim.darshan.IOTrace`
    with vectorized aggregations and the ``record_batch`` append path,
 
 asserts every aggregation agrees exactly, and emits
@@ -16,23 +16,12 @@ times the columnar append twice — the per-record loop (the pending-row
 small-append path, which must stay >= parity with the legacy loop) and
 the writers' ``record_batch`` path.
 
-The payload also carries a **spill scale-out row**: a child subprocess
-replays a 10^8-record stream into a spill-enabled trace
-(``IOTrace(spill_dir=...)``) and reports its ``ru_maxrss``; the parent
-replays the identical stream in RAM and the two aggregation digests
-must match bit-for-bit while the child's peak RSS stays under an
-asserted ceiling far below the in-RAM trace's working set.
-
 ``REPRO_BENCH_SMOKE=1`` shrinks the sizes to a harness check (artifact
-still emitted; the speedup/RSS floors are only asserted at full size).
+still emitted; the speedup floors are only asserted at full size).
 """
 
-import hashlib
 import json
 import os
-import subprocess
-import sys
-import tempfile
 import time
 from collections import defaultdict
 
@@ -47,14 +36,6 @@ FULL_SIZES = (10_000, 100_000, 1_000_000)
 SMOKE_SIZES = (500, 2_000)
 SPEEDUP_FLOOR = 10.0  # at the largest full size, aggregation pass
 APPEND_PARITY_FLOOR = 1.0  # per-record columnar append vs legacy append
-
-# Spill scale-out row: records, per-batch generation size, spill chunk.
-FULL_SPILL = (100_000_000, 2_000_000, 2_000_000)
-SMOKE_SPILL = (20_000, 4_096, 2_048)
-# Peak child RSS for the full spill row.  The in-RAM working set of
-# 10^8 records is ~4.8 GB of columns alone; the spill path must stay
-# an order of magnitude under that.
-SPILL_RSS_CEILING_MB = 1200
 
 
 class LegacyIOTrace:
@@ -243,100 +224,6 @@ def _bench_one_size(n, nprocs=128):
     }
 
 
-# ----------------------------------------------------------------------
-# Spill scale-out: 10^8 records through a spill-enabled trace in a child
-# process (its ru_maxrss is the measurement) vs the same stream in RAM.
-# ----------------------------------------------------------------------
-def _stream_batches(total, batch, nprocs=128):
-    """Deterministic per-batch streams; both sides replay them identically."""
-    for k, lo in enumerate(range(0, total, batch)):
-        yield make_stream(min(batch, total - lo), seed=1234 + k, nprocs=nprocs)
-
-
-def _batch_fill(trace, total, batch):
-    for stream in _stream_batches(total, batch):
-        step, level, rank, nbytes, paths, kinds = stream
-        data = kinds == "data"
-        for mask, kind in ((data, "data"), (~data, "metadata")):
-            idx = np.nonzero(mask)[0]
-            if len(idx):
-                trace.record_batch(
-                    step[idx], level[idx], rank[idx], nbytes[idx],
-                    [paths[i] for i in idx], kind=kind,
-                )
-
-
-def _canon(obj):
-    """Canonical nested form so the digest is order-independent."""
-    if isinstance(obj, dict):
-        return sorted((repr(k), _canon(v)) for k, v in obj.items())
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    return obj
-
-
-def digest_aggregations(out):
-    return hashlib.sha256(repr(_canon(out)).encode()).hexdigest()
-
-
-def _spill_child(total, batch, chunk_records, spill_dir, out_path):
-    import resource
-
-    trace = IOTrace(spill_dir=spill_dir, chunk_records=chunk_records)
-    t0 = time.perf_counter()
-    _batch_fill(trace, total, batch)
-    append_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    out = run_aggregations(trace, 128)
-    agg_s = time.perf_counter() - t0
-    with open(out_path, "w") as fh:
-        json.dump({
-            "digest": digest_aggregations(out),
-            "append_s": round(append_s, 4),
-            "agg_s": round(agg_s, 4),
-            "maxrss_mb": round(
-                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
-            ),
-            "spilled_chunks": trace.spilled_chunks,
-            "spilled_records": trace.spilled_records,
-        }, fh)
-
-
-def _bench_spill(total, batch, chunk_records):
-    with tempfile.TemporaryDirectory(prefix="iotrace-spill-") as spill_dir:
-        out_path = os.path.join(spill_dir, "child.json")
-        subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--spill-child",
-             str(total), str(batch), str(chunk_records),
-             os.path.join(spill_dir, "chunks"), out_path],
-            check=True, env=os.environ.copy(),
-        )
-        with open(out_path) as fh:
-            child = json.load(fh)
-
-    inram = IOTrace()
-    t0 = time.perf_counter()
-    _batch_fill(inram, total, batch)
-    inram_append_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    inram_out = run_aggregations(inram, 128)
-    inram_agg_s = time.perf_counter() - t0
-
-    return {
-        "records": total,
-        "chunk_records": chunk_records,
-        "spilled_chunks": child["spilled_chunks"],
-        "spilled_records": child["spilled_records"],
-        "spill_append_s": child["append_s"],
-        "spill_agg_s": child["agg_s"],
-        "spill_maxrss_mb": child["maxrss_mb"],
-        "rss_ceiling_mb": SPILL_RSS_CEILING_MB,
-        "inram_append_s": round(inram_append_s, 4),
-        "inram_agg_s": round(inram_agg_s, 4),
-        "digest_match": child["digest"] == digest_aggregations(inram_out),
-    }
-
-
 def test_trace_columnar_vs_legacy(once, emit, bench_json, smoke):
     sizes = SMOKE_SIZES if smoke else FULL_SIZES
     _bench_one_size(500)  # warm numpy kernels before any timed pass
@@ -344,21 +231,14 @@ def test_trace_columnar_vs_legacy(once, emit, bench_json, smoke):
     # the largest size doubles as the pytest-benchmark-registered timing
     rows.append(once(_bench_one_size, sizes[-1]))
 
-    spill = _bench_spill(*(SMOKE_SPILL if smoke else FULL_SPILL))
-
     payload = {
         "sizes": list(sizes),
         "speedup_floor": SPEEDUP_FLOOR,
         "append_parity_floor": APPEND_PARITY_FLOOR,
         "rows": rows,
-        "spill": spill,
     }
     bench_json(BENCH_PATH, payload)
     emit("BENCH_trace", json.dumps(payload, indent=1))
-
-    # The spill path must agree with the in-RAM path bit-for-bit at
-    # every scale, smoke included.
-    assert spill["digest_match"], "spill aggregations diverge from in-RAM"
 
     if not smoke:
         top = rows[-1]
@@ -371,12 +251,3 @@ def test_trace_columnar_vs_legacy(once, emit, bench_json, smoke):
             f"per-record columnar append fell below legacy parity "
             f"({rows[0]['append_speedup']}x at {rows[0]['records']} records)"
         )
-        assert spill["spill_maxrss_mb"] <= SPILL_RSS_CEILING_MB, (
-            f"spill child peaked at {spill['spill_maxrss_mb']} MB RSS for "
-            f"{spill['records']} records (ceiling {SPILL_RSS_CEILING_MB} MB)"
-        )
-
-
-if __name__ == "__main__" and len(sys.argv) > 1 and sys.argv[1] == "--spill-child":
-    _spill_child(int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]),
-                 sys.argv[5], sys.argv[6])

@@ -1,4 +1,4 @@
-"""Darshan-like I/O trace recorder (columnar, spillable).
+"""Darshan-like I/O trace recorder (columnar, in RAM).
 
 Carns et al. (the paper's ref. [19]) characterize application I/O by
 recording per-file counters rather than event lists.  :class:`IOTrace`
@@ -7,47 +7,27 @@ and the trace accumulates the counters the analysis layer consumes —
 bytes and file counts per step / level / rank, plus burst timings when
 a storage model is attached.
 
-Storage is *columnar*: one chunked, amortized-doubling ``int64`` array
-per field (step / level / rank / nbytes / kind / path), with paths and
-kinds interned to integer ids.  The public API is unchanged from the
+Storage is *columnar*: one amortized-doubling ``int64`` array per field
+(step / level / rank / nbytes / kind / path), with paths and kinds
+interned to integer ids.  The public API is unchanged from the
 event-list implementation — :class:`IORecord` objects are materialized
 lazily for iteration — and every aggregation returns byte-identical
 results.
 
-Every aggregation is one streaming pass over the trace's *segments*:
-the sealed on-disk chunks in record order, then the live in-RAM tail as
-the last segment.  Each segment is reduced by a vectorized
-``np.bincount`` (or sort-based ``np.unique``) pass instead of a Python
-loop over records, and the per-segment results are merged with exact
-integer arithmetic, which is what makes paper-scale (10^6-record,
-131072^2-mesh) campaigns tractable.  A trace that never seals is a
-single segment, so ``spill_dir`` only decides where sealed segments
-live, never how a query is answered.
+Every aggregation is one vectorized pass over the live columns: a
+``np.bincount`` (or sort-based ``np.unique``) grouping with exact
+integer sums instead of a Python loop over records, which is what makes
+paper-scale (10^6-record, 131072^2-mesh) campaigns tractable.
 
-Two scale mechanisms sit on top of the columns:
+Single :meth:`IOTrace.record` calls append one Python tuple (ids
+interned inline) to a pending list and flush to the numpy columns in
+bulk, so scalar-append-heavy writers pay no per-call numpy overhead.
+Every read entry point syncs the buffer first; the buffering is
+invisible to consumers.
 
-- **Pending-row buffering**: single :meth:`IOTrace.record` calls append
-  one Python tuple (ids interned inline) to a pending list and flush to
-  the numpy columns in bulk, so scalar-append-heavy writers pay no
-  per-call numpy overhead.  Every read entry point syncs the buffer
-  first; the buffering is invisible to consumers.
-- **Chunk spill**: constructed with ``spill_dir=...``, the trace seals
-  each full ``chunk_records`` block of rows into raw ``int64`` files
-  (one per field) and drops them from RAM.  Aggregations stream chunk
-  by chunk over ``np.memmap`` re-opens — one chunk resident at a time —
-  so 10^8-record campaigns stay flat in RSS.  Sealed chunks carry a
-  crc32 fingerprint (computed at seal, re-verified at every re-open
-  under ``REPRO_SANITIZE=1``) so on-disk drift raises
-  :class:`repro.sanitize.SanitizeError` at the read site.  Each trace
-  needs its own ``spill_dir``, and this is enforced: chunk files are
-  named by sequence number and created exclusively, so a second trace
-  sealing into the same directory raises ``FileExistsError`` naming the
-  chunk instead of overwriting the first trace's data.
-
-:meth:`IOTrace.columns` returns zero-copy read-only views only for a
-trace without a ``spill_dir``, whose live rows never move.  Sealing
-shifts the live tail down in place, so a spill-enabled trace returns a
-materialized copy instead.
+:meth:`IOTrace.columns` returns zero-copy read-only views.  Recorded
+rows never move — appends write past them, and growth copies into a
+new buffer — so a view stays a valid snapshot.
 
 Error contract: :meth:`IOTrace.bytes_per_rank` raises ``ValueError``
 (naming the offending rank) when a recorded rank falls outside a
@@ -57,22 +37,10 @@ with a bare ``IndexError``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from .. import sanitize
 
 __all__ = ["IORecord", "IOTrace", "TraceColumns"]
 
@@ -140,33 +108,6 @@ class TraceColumns:
         _check_rank_bound(self.rank if mask is None else self.rank[mask], nprocs)
 
 
-class _Segment(NamedTuple):
-    """One contiguous block of trace rows (a sealed chunk or the live tail)."""
-
-    step: np.ndarray
-    level: np.ndarray
-    rank: np.ndarray
-    nbytes: np.ndarray
-    kind: np.ndarray
-    path: np.ndarray
-
-
-@dataclass
-class _SealedChunk:
-    """A spilled block: field-file paths, row count, and its seal crc.
-
-    Holds *paths*, never open memmaps — the trace stays picklable and a
-    chunk's pages are only resident while an aggregation streams it.
-    ``crc`` is None when the chunk was sealed without the sanitizer; the
-    first sanitized re-open adopts the on-disk fingerprint (mirroring
-    the plan caches' lazy checksum).
-    """
-
-    length: int
-    files: Dict[str, str]
-    crc: Optional[int]
-
-
 def _readonly(arr: np.ndarray) -> np.ndarray:
     view = arr.view()
     view.flags.writeable = False
@@ -232,7 +173,7 @@ def _distinct_sorted(vals: np.ndarray) -> List[int]:
 def _triple_sums(
     step: np.ndarray, level: np.ndarray, rank: np.ndarray, nbytes: np.ndarray
 ) -> Dict[Tuple[int, int, int], int]:
-    """Exact byte sums grouped by (step, level, rank) for one block."""
+    """Exact byte sums grouped by (step, level, rank)."""
     if len(step) == 0:
         return {}
     # Composite int64 key: offset each column to >= 0, mix by range.
@@ -269,30 +210,10 @@ def _triple_sums(
 class IOTrace:
     """Accumulates write records columnarly and answers aggregate queries.
 
-    Every query streams over :meth:`_segments`: the sealed chunks, then
-    the live in-RAM tail as the last segment.  ``spill_dir=None`` (the
-    default) never seals, so the tail is the whole trace.  With a
-    ``spill_dir``, each full ``chunk_records`` block is sealed to raw
-    int64 field files there and streamed back through ``np.memmap`` on
-    demand; ``spill_dir`` only decides where sealed segments live, and
-    aggregations are bit-identical either way.  The directory must not
-    be shared: sealing a chunk file that already exists raises
-    ``FileExistsError``.
+    Every query is one vectorized pass over the in-RAM columns.
     """
 
-    def __init__(
-        self,
-        spill_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
-        chunk_records: int = 1_000_000,
-    ) -> None:
-        if chunk_records < 1:
-            raise ValueError("chunk_records must be >= 1")
-        self._spill_dir = None if spill_dir is None else os.fspath(spill_dir)
-        self._chunk_records = int(chunk_records)
-        if self._spill_dir is not None:
-            os.makedirs(self._spill_dir, exist_ok=True)
-        self._chunks: List[_SealedChunk] = []
-        self._sealed = 0  # rows living in sealed chunks
+    def __init__(self) -> None:
         self._pending: List[Tuple[int, int, int, int, int, int]] = []
         self._rank_hi = -1  # running max rank over all flushed rows
         self._n = 0
@@ -341,8 +262,8 @@ class IOTrace:
         return pid
 
     def _append(self, n: int, step, level, rank, nbytes, kind, path) -> None:
-        """Write ``n`` rows to the live tail, one array per field (``kind``
-        may be one scalar id), then seal whatever filled a chunk."""
+        """Write ``n`` rows, one array per field (``kind`` may be one
+        scalar id)."""
         self._reserve(n)
         lo, hi = self._n, self._n + n
         self._step[lo:hi] = step
@@ -354,7 +275,6 @@ class IOTrace:
         self._n = hi
         if n:
             self._rank_hi = max(self._rank_hi, int(rank.max()))
-        self._maybe_seal()
 
     def record(
         self,
@@ -427,7 +347,7 @@ class IOTrace:
         self._burst_seconds[step] = self._burst_seconds.get(step, 0.0) + seconds
 
     # ------------------------------------------------------------------
-    # pending flush + chunk sealing
+    # pending flush + filtered reads
     # ------------------------------------------------------------------
     def _flush_pending(self) -> None:
         pend = self._pending
@@ -437,178 +357,63 @@ class IOTrace:
         pend.clear()
         self._append(len(rows), *rows.T)
 
-    def _sync(self) -> None:
-        """Flush buffered rows; every read entry point calls this first."""
-        if self._pending:
-            self._flush_pending()
-
-    def _maybe_seal(self) -> None:
-        if self._spill_dir is None:
-            return
-        while self._n >= self._chunk_records:
-            self._seal_one()
-
-    def _seal_one(self) -> None:
-        """Spill the oldest ``chunk_records`` live rows to raw int64 files."""
-        c = self._chunk_records
-        k = len(self._chunks)
-        files: Dict[str, str] = {}
-        arrays = []
-        for name in _FIELDS:
-            arr = getattr(self, "_" + name)[:c]
-            path = os.path.join(self._spill_dir, f"chunk-{k:06d}.{name}.i64")
-            # Exclusive create: a trace sharing this directory fails here
-            # instead of overwriting another trace's sealed chunk.
-            with open(path, "xb") as fh:
-                arr.tofile(fh)
-            files[name] = path
-            arrays.append(arr)
-        crc = sanitize.checksum(tuple(arrays)) if sanitize.enabled() else None
-        self._chunks.append(_SealedChunk(length=c, files=files, crc=crc))
-        self._sealed += c
-        # Shift the unsealed tail down; O(remaining) with remaining < c.
-        rem = self._n - c
-        for name in _FIELDS:
-            col = getattr(self, "_" + name)
-            col[:rem] = col[c : self._n]
-        self._n = rem
-
-    def _open_chunk(self, chunk: _SealedChunk) -> _Segment:
-        """Re-open a sealed chunk as read-only memmaps (verified under sanitize)."""
-        arrays = tuple(
-            np.memmap(chunk.files[name], dtype=np.int64, mode="r",
-                      shape=(chunk.length,))
-            for name in _FIELDS
-        )
-        if sanitize.enabled():
-            crc = sanitize.checksum(arrays)
-            if chunk.crc is None:
-                chunk.crc = crc
-            else:
-                sanitize.check(
-                    crc == chunk.crc,
-                    f"trace spill chunk drifted since seal "
-                    f"({chunk.files['step']}); the spill files were "
-                    "modified or truncated on disk",
-                )
-        return _Segment(*arrays)
-
-    def _segments(self) -> Iterator[_Segment]:
-        """Sealed chunks (record order) then the live tail, one at a time.
-
-        Each yielded chunk's memmaps die when the consumer drops the
-        segment, so a streaming aggregation keeps at most one chunk's
-        pages resident.
-        """
-        for chunk in self._chunks:
-            yield self._open_chunk(chunk)
-        n = self._n
-        if n:
-            yield _Segment(
-                self._step[:n], self._level[:n], self._rank[:n],
-                self._nbytes[:n], self._kind[:n], self._path[:n],
-            )
-
     def _filtered(
         self,
         names: Tuple[str, ...],
         step: Optional[int] = None,
         level: Optional[int] = None,
         kind: Optional[str] = None,
-    ) -> Iterator[List[np.ndarray]]:
-        """Per segment, the ``names`` columns of the rows passing every filter.
+    ) -> Optional[List[np.ndarray]]:
+        """The ``names`` columns of the rows passing every filter.
 
-        A ``kind`` that was never recorded matches no row, so nothing is
-        yielded and no chunk is opened.
+        Syncs the pending rows first; every read entry point goes through
+        here.  Returns ``None`` for a ``kind`` that was never recorded,
+        which matches no row.
         """
+        self._flush_pending()
         kind_id = None
         if kind is not None:
             kind_id = self._kind_ids.get(kind)
             if kind_id is None:
-                return
-        for seg in self._segments():
-            mask = None
-            for col, value in (
-                (seg.step, step), (seg.level, level), (seg.kind, kind_id)
-            ):
-                if value is not None:
-                    m = col == value
-                    mask = m if mask is None else mask & m
-            cols = [getattr(seg, name) for name in names]
-            if mask is not None:
-                # Scan the mask once; gathering each column by index is
-                # then cheaper than a boolean index re-scanning it.
-                rows = np.flatnonzero(mask)
-                cols = [col[rows] for col in cols]
-            yield cols
-
-    # ------------------------------------------------------------------
-    # spill introspection
-    # ------------------------------------------------------------------
-    @property
-    def spill_dir(self) -> Optional[str]:
-        return self._spill_dir
-
-    @property
-    def spilled_records(self) -> int:
-        """Rows living in sealed on-disk chunks (0 without a spill dir)."""
-        return self._sealed
-
-    @property
-    def spilled_chunks(self) -> int:
-        return len(self._chunks)
+                return None
+        n = self._n
+        mask = None
+        for name, value in (("step", step), ("level", level), ("kind", kind_id)):
+            if value is not None:
+                m = getattr(self, "_" + name)[:n] == value
+                mask = m if mask is None else mask & m
+        cols = [getattr(self, "_" + name)[:n] for name in names]
+        if mask is not None:
+            # Scan the mask once; gathering each column by index is then
+            # cheaper than a boolean index re-scanning it.
+            rows = np.flatnonzero(mask)
+            cols = [col[rows] for col in cols]
+        return cols
 
     # ------------------------------------------------------------------
     # record access (compatibility with the event-list implementation)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._sealed + self._n + len(self._pending)
+        return self._n + len(self._pending)
 
     def __iter__(self) -> Iterator[IORecord]:
-        self._sync()
-
-        def generate() -> Iterator[IORecord]:
-            kinds, paths = self._kind_names, self._path_names
-            for seg in self._segments():
-                for i in range(len(seg.step)):
-                    yield IORecord(
-                        int(seg.step[i]),
-                        int(seg.level[i]),
-                        int(seg.rank[i]),
-                        int(seg.nbytes[i]),
-                        paths[seg.path[i]],
-                        kinds[seg.kind[i]],
-                    )
-
-        return generate()
+        step, level, rank, nbytes, kind, path = self._filtered(_FIELDS)
+        kinds, paths = self._kind_names, self._path_names
+        return (
+            IORecord(int(step[i]), int(level[i]), int(rank[i]),
+                     int(nbytes[i]), paths[path[i]], kinds[kind[i]])
+            for i in range(len(step))
+        )
 
     @property
     def records(self) -> Tuple[IORecord, ...]:
         return tuple(self)
 
     def columns(self) -> TraceColumns:
-        """Read-only columns for custom vectorized aggregations.
-
-        Without a ``spill_dir`` these are zero-copy views of the live
-        rows, which never move.  A spill-enabled trace returns a copy:
-        it *materializes* every spilled row back into RAM (the
-        whole-trace escape hatch), and a later seal shifts the live tail
-        in place, which a view would see.  Streaming consumers should
-        use the aggregation methods instead.
-        """
-        self._sync()
-        if self._spill_dir is None:
-            cols = [getattr(self, "_" + name)[: self._n] for name in _FIELDS]
-        else:
-            cols = [np.empty(len(self), dtype=np.int64) for _ in _FIELDS]
-            pos = 0
-            for seg in self._segments():
-                m = len(seg.step)
-                for out, arr in zip(cols, seg):
-                    out[pos : pos + m] = arr
-                pos += m
+        """Zero-copy read-only views of the recorded rows, for custom
+        vectorized aggregations."""
         return TraceColumns(
-            *map(_readonly, cols),
+            *map(_readonly, self._filtered(_FIELDS)),
             kinds=tuple(self._kind_names),
             paths=tuple(self._path_names),
         )
@@ -617,45 +422,34 @@ class IOTrace:
     # aggregations — the (timestep, level, task) hierarchy of Fig. 2
     # ------------------------------------------------------------------
     def steps(self) -> List[int]:
-        self._sync()
-        out: set = set()
-        for seg in self._segments():
-            out.update(_distinct_sorted(seg.step))
-        return sorted(out)
+        (step,) = self._filtered(("step",))
+        return _distinct_sorted(step)
 
     def levels(self) -> List[int]:
-        self._sync()
-        out: set = set()
-        for seg in self._segments():
-            lev = seg.level
-            out.update(_distinct_sorted(lev[lev >= 0]))
-        return sorted(out)
+        (lev,) = self._filtered(("level",))
+        return _distinct_sorted(lev[lev >= 0])
 
     def total_bytes(self, kind: Optional[str] = None) -> int:
-        self._sync()
-        return sum(int(nb.sum()) for (nb,) in self._filtered(("nbytes",), kind=kind))
+        cols = self._filtered(("nbytes",), kind=kind)
+        return 0 if cols is None else int(cols[0].sum())
 
     def bytes_per_step(self, kind: Optional[str] = None) -> Dict[int, int]:
-        self._sync()
-        acc: Dict[int, int] = {}
-        for step, nb in self._filtered(("step", "nbytes"), kind=kind):
-            uniq, sums = _grouped_sums(step, nb)
-            for s, v in zip(uniq.tolist(), sums.tolist()):
-                acc[s] = acc.get(s, 0) + v
-        return dict(sorted(acc.items()))
+        cols = self._filtered(("step", "nbytes"), kind=kind)
+        if cols is None:
+            return {}
+        uniq, sums = _grouped_sums(*cols)
+        return dict(zip(uniq.tolist(), sums.tolist()))
 
     def bytes_per_level(
         self, step: Optional[int] = None, kind: Optional[str] = None
     ) -> Dict[int, int]:
-        self._sync()
-        acc: Dict[int, int] = {}
-        for lev, nb in self._filtered(("level", "nbytes"), step=step, kind=kind):
-            uniq, sums = _grouped_sums(lev, nb)
-            for l, v in zip(uniq.tolist(), sums.tolist()):
-                acc[l] = acc.get(l, 0) + v
+        cols = self._filtered(("level", "nbytes"), step=step, kind=kind)
+        if cols is None:
+            return {}
+        uniq, sums = _grouped_sums(*cols)
         # Grouping by level already separates the negative (metadata)
         # levels — drop them from the result instead of pre-masking.
-        return {l: v for l, v in sorted(acc.items()) if l >= 0}
+        return {l: v for l, v in zip(uniq.tolist(), sums.tolist()) if l >= 0}
 
     def bytes_per_rank(
         self,
@@ -671,42 +465,28 @@ class IOTrace:
         with more ranks than the caller claims is a caller bug, not an
         index fault.
         """
-        self._sync()
+        cols = self._filtered(("rank", "nbytes"), step, level, kind)
         # Default width covers every recorded rank (filtered or not),
         # matching the event-list implementation.
-        width = nprocs if nprocs is not None else self._rank_hi + 1
-        acc = np.zeros(max(width, 0), dtype=np.int64)
-        for ranks, nb in self._filtered(("rank", "nbytes"), step, level, kind):
-            if not len(ranks):
-                continue
-            if int(ranks.min()) < 0:
-                bad = int(ranks[ranks < 0][0])
-                raise ValueError(f"record has negative rank {bad}")
-            if nprocs is not None:
-                _check_rank_bound(ranks, nprocs)
-            acc += _int_bincount(ranks, nb, len(acc))
-        return acc
+        width = max(nprocs if nprocs is not None else self._rank_hi + 1, 0)
+        if cols is None or not len(cols[0]):
+            return np.zeros(width, dtype=np.int64)
+        ranks, nb = cols
+        if int(ranks.min()) < 0:
+            bad = int(ranks[ranks < 0][0])
+            raise ValueError(f"record has negative rank {bad}")
+        if nprocs is not None:
+            _check_rank_bound(ranks, nprocs)
+        return _int_bincount(ranks, nb, width)
 
     def bytes_step_level_rank(self) -> Dict[Tuple[int, int, int], int]:
         """The full (timestep, level, task) -> bytes mapping (Eq. 2's y)."""
-        self._sync()
-        acc: Dict[Tuple[int, int, int], int] = {}
-        for seg in self._segments():
-            sums = _triple_sums(seg.step, seg.level, seg.rank, seg.nbytes)
-            if not acc:
-                acc = sums  # adopt the first segment's dict, no merge
-                continue
-            for key, v in sums.items():
-                acc[key] = acc.get(key, 0) + v
-        return acc
+        return _triple_sums(*self._filtered(("step", "level", "rank", "nbytes")))
 
     def file_count(self, step: Optional[int] = None) -> int:
-        self._sync()
+        (paths,) = self._filtered(("path",), step=step)
         # Path ids are dense by construction: count distinct via bincount.
-        counts = np.zeros(len(self._path_names), dtype=np.int64)
-        for (paths,) in self._filtered(("path",), step=step):
-            counts += np.bincount(paths, minlength=len(counts))
-        return int(np.count_nonzero(counts))
+        return int(np.count_nonzero(np.bincount(paths)))
 
     def cumulative_bytes_by_step(self) -> Tuple[np.ndarray, np.ndarray]:
         """(steps, cumulative bytes) series — the y-axis of Fig. 5."""

@@ -51,6 +51,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             else:
                 rest.append(a)
                 i += 1
+        if nprocs < 1:
+            raise ValueError(f"-n/--np must be >= 1 (got {nprocs})")
         params = parse_argv(rest)
         platform = get_platform(machine)
     except (ValueError, IndexError, KeyError) as exc:

@@ -8,6 +8,7 @@ way it would drive the real executable.  Sizes accept the real tool's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,6 +74,12 @@ class MacsioParams:
             raise ValueError("meta_size cannot be negative")
         if self.dataset_growth <= 0:
             raise ValueError("dataset_growth must be positive")
+        if self.file_count is not None and self.file_count < 1:
+            raise ValueError(f"file_count must be >= 1 (got {self.file_count})")
+        for name in ("part_size", "avg_num_parts", "compute_time", "dataset_growth"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
 
     def with_growth(self, growth: float) -> "MacsioParams":
         return replace(self, dataset_growth=growth)

@@ -18,10 +18,9 @@ from ..amr.distribution import DistributionMapping
 from ..amr.geometry import Geometry
 from ..iosim.darshan import IOTrace
 from ..iosim.filesystem import FileSystem
-from .fab import fab_nbytes
 from .header import build_header_text
 from .varlist import STATE_VARS
-from .writer import _check_levels
+from .writer import _check_levels, _level_plan
 
 __all__ = ["CheckpointSpec", "write_checkpoint", "checkpoint_name"]
 
@@ -71,17 +70,13 @@ def write_checkpoint(
     if trace is not None:
         trace.record(step, -1, 0, n, f"{cdir}/Header", kind="metadata")
     for lev in range(len(geoms)):
-        ba = boxarrays[lev]
-        dm = distributions[lev]
         ldir = f"{cdir}/Level_{lev}"
         fs.mkdirs(ldir)
-        rank_bytes = {}
-        for k in range(len(ba)):
-            rank_bytes.setdefault(dm[k], 0)
-            rank_bytes[dm[k]] += fab_nbytes(ba[k], spec.nvars)
-        for rank, nbytes in sorted(rank_bytes.items()):
-            path = f"{ldir}/Cell_D_{rank:05d}"
-            fs.write_size(path, nbytes)
-            if trace is not None:
-                trace.record(step, lev, rank, nbytes, path, kind="data")
+        # The plotfile writer's cached level plan: one Cell_D per owning
+        # rank, sized by the closed-form per-FAB byte counts.
+        plan = _level_plan(boxarrays[lev], distributions[lev], spec.nvars)
+        paths = [f"{ldir}/{fn}" for fn in plan.fnames]
+        fs.write_many(paths, plan.sizes)
+        if trace is not None and len(plan.ranks):
+            trace.record_batch(step, lev, plan.ranks, plan.sizes, paths, kind="data")
     return cdir

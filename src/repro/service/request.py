@@ -188,12 +188,22 @@ def request_from_dict(payload: Dict) -> Request:
                 })
             except TypeError as exc:
                 raise ValueError(f"bad inputs object: {exc}") from None
+        # bool is an int subclass and True == 1 hashes alike, so a bool
+        # would share its cache key with an integer request: refuse it
+        # here, before the request becomes a key.
+        for name in ("nprocs", "steps"):
+            value = payload.get(name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{name} must be a JSON integer (got {value!r})")
+        f = payload.get("f", DEFAULT_F)
+        if isinstance(f, bool) or not isinstance(f, (int, float)):
+            raise ValueError(f"f must be a JSON number (got {f!r})")
         return PredictRequest(
             scenario=payload.get("scenario", "case4"),
             machine=payload.get("machine"),
             nprocs=payload.get("nprocs"),
             steps=payload.get("steps"),
-            f=payload.get("f", DEFAULT_F),
+            f=f,
             inputs=inputs,
         )
     if op == "lookup":

@@ -86,7 +86,6 @@ class CastroSim:
         distribution_strategy: str = "sfc",
         nnodes: int = 1,
         machine: str = "summit",
-        trace: Optional[IOTrace] = None,
     ) -> None:
         self.inputs = inputs
         self.nprocs = int(nprocs)
@@ -94,10 +93,7 @@ class CastroSim:
         self.eos = eos or GammaLawEOS()
         self.fs = fs if fs is not None else VirtualFileSystem()
         self.tag_criteria = tag_criteria
-        # Caller-supplied traces let paper-scale campaigns pass a
-        # spill-enabled IOTrace (see `IOTrace(spill_dir=...)`) so
-        # 10^8-record runs stay flat in RSS.
-        self.trace = trace if trace is not None else IOTrace()
+        self.trace = IOTrace()
         self.nnodes = nnodes
         platform = get_platform(machine)
         platform.check_nodes(self.nnodes)  # the job fits on the machine

@@ -56,7 +56,6 @@ class SedovWorkloadGenerator:
         distribution_strategy: str = "sfc",
         nnodes: int = 1,
         machine: str = "summit",
-        trace: Optional[IOTrace] = None,
     ) -> None:
         self.inputs = inputs
         self.nprocs = int(nprocs)
@@ -69,9 +68,7 @@ class SedovWorkloadGenerator:
         platform = get_platform(machine)
         platform.check_nodes(self.nnodes)  # the job fits on the machine
         self.machine = platform.name
-        # Caller-supplied traces let paper-scale sweeps pass a
-        # spill-enabled IOTrace (see `IOTrace(spill_dir=...)`).
-        self.trace = trace if trace is not None else IOTrace()
+        self.trace = IOTrace()
         base_domain = Box.cell_centered(*inputs.n_cell)
         self._geoms: List[Geometry] = [
             Geometry(base_domain, inputs.prob_lo, inputs.prob_hi)

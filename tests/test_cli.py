@@ -56,9 +56,22 @@ class TestMacsioMain:
         assert "3 dumps" in out
         assert out.count("\n") >= 4
 
-    def test_bad_flag(self, capsys):
-        rc = macsio_main(["--nonsense", "1"])
+    BASE = ["--interface", "miftmpl", "--num_dumps", "3", "-n", "4"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--nonsense", "1"],
+        BASE + ["--parallel_file_mode", "MIF", "-2"],
+        BASE + ["--parallel_file_mode", "MIF", "0"],
+        BASE + ["--compute_time", "nan", "--timing"],
+        BASE + ["--dataset_growth", "inf"],
+        BASE + ["--part_size", "inf"],
+        BASE[:-1] + ["0"],
+    ], ids=["unknown-flag", "mif-negative", "mif-zero", "compute-time-nan",
+            "growth-inf", "part-size-inf", "np-zero"])
+    def test_bad_flag(self, argv, capsys):
+        rc = macsio_main(argv)
         assert rc == 2
+        assert "argument error:" in capsys.readouterr().err
 
     def test_timing_mode(self, capsys):
         rc = macsio_main([

@@ -40,6 +40,15 @@ class TestParams:
             MacsioParams(part_size=0)
         with pytest.raises(ValueError):
             MacsioParams(dataset_growth=0.0)
+        for name, value in [
+            ("file_count", 0), ("file_count", -2),
+            ("part_size", float("inf")), ("part_size", float("nan")),
+            ("avg_num_parts", float("inf")), ("avg_num_parts", float("nan")),
+            ("compute_time", float("inf")), ("compute_time", float("nan")),
+            ("dataset_growth", float("inf")), ("dataset_growth", float("nan")),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                MacsioParams(**{name: value})
 
     def test_parse_size_suffixes(self):
         assert parse_size("4096") == 4096

@@ -75,6 +75,34 @@ class TestCheckpoint:
         expect = sum(fab_nbytes(b, len(STATE_VARS)) for ba in bas for b in ba)
         assert data_bytes == expect
 
+    def test_per_rank_files_match_per_box_loop(self):
+        """Each owning rank gets one ``Cell_D`` holding the sum of its
+        boxes' FABs, with one trace row; a rank without boxes gets none."""
+        from repro.plotfile.fab import fab_nbytes
+
+        g0 = Geometry(Box.cell_centered(64, 64))
+        boxes = [Box((x, y), (x + 15, y + 7)) for y in range(0, 64, 8)
+                 for x in range(0, 64, 16)]
+        ba = BoxArray(boxes)
+        # 32 boxes over 4 ranks, rank 2 owns nothing
+        dm = DistributionMapping(tuple((0, 1, 3)[k % 3] for k in range(len(ba))), 4)
+        fs, trace = VirtualFileSystem(), IOTrace()
+        nvars = len(STATE_VARS)
+        cdir = write_checkpoint(fs, CheckpointSpec(nprocs=4), 7, 0.5,
+                                [g0], [ba], [dm], trace=trace)
+        want = {}
+        for k, box in enumerate(ba):
+            want[dm[k]] = want.get(dm[k], 0) + fab_nbytes(box, nvars)
+        assert sorted(want) == [0, 1, 3]
+        sizes = fs.sizes()
+        got = {int(p[-5:]): n for p, n in sizes.items() if "/Cell_D_" in p}
+        assert got == want
+        rows = [r for r in trace if r.kind == "data"]
+        assert [(r.step, r.level, r.rank, r.nbytes, r.path) for r in rows] == [
+            (7, 0, rank, n, f"{cdir}/Level_0/Cell_D_{rank:05d}")
+            for rank, n in sorted(want.items())
+        ]
+
     def test_checkpoint_smaller_than_plotfile(self):
         from repro.plotfile.writer import PlotfileSpec, write_plotfile
 

@@ -267,6 +267,20 @@ class TestWireForm:
         for payload in responses:
             json.dumps(payload, allow_nan=False)
 
+    @pytest.mark.parametrize("field,value", [
+        ("steps", 40.5), ("steps", True), ("f", True),
+        ("nprocs", "8"), ("nprocs", 3.5),
+    ])
+    def test_mistyped_number_is_a_per_request_error(self, field, value):
+        """``steps``/``nprocs`` must be JSON integers and ``f`` a JSON
+        number; ``True == 1`` must not answer (or share a cache key) as 1."""
+        lines = [json.dumps({"scenario": "case4", field: value}),
+                 json.dumps({"scenario": "case4", "nprocs": 4, "steps": 10})]
+        responses, report = serve_lines(PredictionService(), lines)
+        assert not responses[0]["ok"]
+        assert responses[0]["error"].startswith(f"ValueError: {field} must be")
+        assert responses[1]["ok"] and report.n_errors == 1
+
     def test_serve_lines_storeless_lookup_is_per_request_error(self):
         service = PredictionService()
         lines = [json.dumps({"op": "lookup", "scenario": "case4"}),

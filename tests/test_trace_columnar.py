@@ -6,7 +6,10 @@ implementation.  ``LegacyIOTrace`` below *is* that original
 implementation (copied verbatim from the seed); the tests replay
 randomized record streams — duplicate (step, level, rank) keys,
 negative-level metadata records, shared paths, empty traces — into
-both and compare every query.
+both and compare every query.  The pending-row buffer behind scalar
+``record`` calls must be invisible to every reader, and the
+kind-filtered aggregations (which the reference cannot answer) are
+checked against a plain loop over the input rows.
 """
 
 from collections import defaultdict
@@ -258,6 +261,115 @@ class TestBytesPerRankContract:
         assert list(tr.bytes_per_rank(step=1, nprocs=2)) == [20, 0]
         with pytest.raises(ValueError, match="rank 9"):
             tr.bytes_per_rank(step=0, nprocs=2)
+
+
+class TestSmallAppendPath:
+    """The pending-row buffer must be invisible to every consumer."""
+
+    def test_record_then_immediate_read(self):
+        tr = IOTrace()
+        tr.record(3, 1, 2, 100, "a/b", "data")
+        assert len(tr) == 1
+        assert tr.total_bytes() == 100
+        assert list(tr) == [IORecord(3, 1, 2, 100, "a/b", "data")]
+
+    def test_negative_nbytes_rejected_before_buffering(self):
+        tr = IOTrace()
+        with pytest.raises(ValueError):
+            tr.record(0, 0, 0, -1, "bad")
+        assert len(tr) == 0
+
+    def test_columns_reflect_pending_rows(self):
+        tr = IOTrace()
+        for i in range(10):
+            tr.record(i, 0, i % 3, i * 10, f"p{i}")
+        cols = tr.columns()
+        assert np.array_equal(cols.step, np.arange(10))
+        assert cols.paths == tuple(f"p{i}" for i in range(10))
+
+    def test_flush_threshold_crossing_preserves_order(self):
+        from repro.iosim.darshan import _PENDING_FLUSH
+
+        tr = IOTrace()
+        n = _PENDING_FLUSH + 17
+        for i in range(n):
+            tr.record(i, 0, 0, 1, "p")
+        assert len(tr) == n
+        assert np.array_equal(tr.columns().step, np.arange(n))
+
+
+def random_rows(n, seed):
+    """Uniform record tuples over 12 steps, levels -1..2 and 32 ranks,
+    about a fifth of them metadata."""
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(0, 12, n)
+    levels = rng.integers(-1, 3, n)  # includes metadata level -1
+    ranks = rng.integers(0, 32, n)
+    nbytes = rng.integers(0, 1 << 20, n)
+    kinds = np.where(rng.random(n) < 0.2, "metadata", "data")
+    return [
+        (int(s), int(l), int(r), int(nb),
+         f"plt{s:05d}/Level_{max(l, 0)}/Cell_D_{r % 8:05d}", str(k))
+        for s, l, r, nb, k in zip(steps, levels, ranks, nbytes, kinds)
+    ]
+
+
+KINDS = ("data", "metadata", "never-seen")
+
+
+class TestKindFilteredOracle:
+    """Kind-filtered aggregations against a plain loop over the input rows.
+
+    ``LegacyIOTrace`` answers most queries without a kind filter, so the
+    oracle here never touches a trace.
+    """
+
+    ROWS = random_rows(700, seed=11)
+
+    @pytest.fixture
+    def trace(self):
+        return fill(IOTrace(), self.ROWS)
+
+    def rows(self, step=None, level=None, kind=None):
+        for s, l, r, nb, _, k in self.ROWS:
+            if ((step is None or s == step) and (level is None or l == level)
+                    and (kind is None or k == kind)):
+                yield s, l, r, nb
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_total_bytes(self, trace, kind):
+        assert trace.total_bytes(kind) == sum(nb for *_, nb in self.rows(kind=kind))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bytes_per_step(self, trace, kind):
+        want = {}
+        for s, _, _, nb in self.rows(kind=kind):
+            want[s] = want.get(s, 0) + nb
+        assert list(trace.bytes_per_step(kind=kind).items()) == sorted(want.items())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("step", [None, 0, 5])
+    def test_bytes_per_level(self, trace, step, kind):
+        want = {}
+        for _, l, _, nb in self.rows(step=step, kind=kind):
+            if l >= 0:
+                want[l] = want.get(l, 0) + nb
+        got = trace.bytes_per_level(step=step, kind=kind)
+        assert list(got.items()) == sorted(want.items())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("step,level,nprocs", [
+        (None, None, None), (3, None, 40), (3, 1, 40), (None, -1, None),
+    ])
+    def test_bytes_per_rank(self, trace, step, level, nprocs, kind):
+        # Without nprocs the width covers every recorded rank, filtered or not.
+        width = nprocs if nprocs is not None else max(r for _, _, r, *_ in self.ROWS) + 1
+        want = [0] * width
+        for _, _, r, nb in self.rows(step=step, level=level, kind=kind):
+            want[r] += nb
+        got = trace.bytes_per_rank(step=step, level=level, nprocs=nprocs, kind=kind)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
 
 class TestWriteMany:
