@@ -69,7 +69,11 @@ def sedov_main(argv: Optional[Sequence[str]] = None) -> int:
     case = _resolve_case(args.case)
     if args.inputs:
         with open(args.inputs, "r", encoding="utf-8") as fh:
-            case_inputs = CastroInputs.from_inputs(parse_inputs(fh.read()))
+            text = fh.read()
+        try:
+            case_inputs = CastroInputs.from_inputs(parse_inputs(text))
+        except ValueError as exc:
+            ap.error(f"--inputs {args.inputs}: {exc}")
         case = replace(case, inputs=case_inputs)
     if args.nprocs:
         case = replace(case, nprocs=args.nprocs)

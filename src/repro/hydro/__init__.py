@@ -1,9 +1,11 @@
 """Castro-like compressible hydrodynamics on AMR patches.
 
-2-D gamma-law Euler equations with MUSCL–Hancock reconstruction,
-HLL/HLLC Riemann solvers, Castro's CFL/init_shrink/change_max timestep
-control, outflow/symmetry boundaries, and the Sedov blast problem with
-its Sedov–Taylor self-similar analytic solution.
+2-D gamma-law Euler equations with piecewise-linear limited slopes
+(minmod, MC or superbee) at the old time level, HLL/HLLC Riemann
+solvers and a dimensionally unsplit forward-Euler update, all writing
+into a reusable :class:`Workspace`; Castro's CFL/init_shrink/change_max
+timestep control, outflow/symmetry boundaries, and the Sedov blast
+problem with its Sedov–Taylor self-similar analytic solution.
 """
 
 from .boundary import BC, apply_boundary
@@ -32,6 +34,7 @@ from .state import (
     prim_to_cons,
 )
 from .timestep import TimestepController, cfl_timestep
+from .workspace import Workspace
 
 __all__ = [
     "BC",
@@ -68,4 +71,5 @@ __all__ = [
     "prim_to_cons",
     "TimestepController",
     "cfl_timestep",
+    "Workspace",
 ]

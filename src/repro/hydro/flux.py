@@ -1,16 +1,24 @@
-"""Godunov update kernel (dimensionally unsplit, MUSCL–Hancock).
+"""Godunov update kernel (dimensionally unsplit, forward Euler).
 
 Given conserved state with ghost cells, computes one conservative
-finite-volume update ``U += dt * (div F)`` using limited reconstruction
-and an approximate Riemann solver.  This is the compute kernel of the
-Castro-like solver; everything is vectorized over the patch.
+finite-volume update ``U += dt * (div F)``: piecewise-linear limited
+reconstruction of the primitives at the old time level (no Hancock
+half-step predictor), an HLL or HLLC flux at every face of both
+directions from the same old state, and one forward-Euler update.  This
+is the compute kernel of the Castro-like solver; everything is
+vectorized over the patch.
 
 y-fluxes are computed directly by passing the transposed component pair
 ``(QV, QU)`` to the Riemann solver (see :mod:`repro.hydro.riemann`)
 instead of rotating copies of the interface states.
+
+Every temporary lives in a :class:`~repro.hydro.workspace.Workspace`;
+the x and y sweeps take the same buffer names at their two face shapes.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -18,6 +26,7 @@ from .eos import GammaLawEOS
 from .reconstruction import interface_states
 from .riemann import RIEMANN_SOLVERS
 from .state import QU, QV, cons_to_prim
+from .workspace import Workspace
 
 __all__ = ["advance_patch", "NGHOST_REQUIRED"]
 
@@ -35,6 +44,9 @@ def advance_patch(
     nghost: int = NGHOST_REQUIRED,
     riemann: str = "hllc",
     limiter: str = "minmod",
+    *,
+    W: Optional[np.ndarray] = None,
+    ws: Optional[Workspace] = None,
 ) -> np.ndarray:
     """One forward-Euler Godunov step on a ghosted patch.
 
@@ -42,6 +54,7 @@ def advance_patch(
     ----------
     U:
         Conserved state, shape (4, nx + 2g, ny + 2g); ghosts prefilled.
+        It is not modified.
     dt, dx, dy:
         Step and cell sizes.
     nghost:
@@ -49,12 +62,18 @@ def advance_patch(
     riemann / limiter:
         Kernel choices; see :mod:`repro.hydro.riemann` and
         :mod:`repro.hydro.reconstruction`.
+    W:
+        ``cons_to_prim(U, eos)`` when the caller already holds it.
+    ws:
+        Workspace for every temporary and the result; a throwaway one
+        when omitted.
 
     Returns
     -------
     ndarray
         Updated conserved state on the *valid* region only,
-        shape (4, nx, ny).
+        shape (4, nx, ny): ``ws``'s ``"Unew"`` buffer, valid until the
+        next call on the same workspace.
     """
     if U.ndim != 3:
         raise ValueError(f"advance_patch expects a (4, X, Y) patch, got shape {U.shape}")
@@ -66,28 +85,38 @@ def advance_patch(
         raise ValueError(
             f"unknown riemann solver {riemann!r}; choose from {sorted(RIEMANN_SOLVERS)}"
         ) from None
+    ws = Workspace() if ws is None else ws
     g = nghost
     X, Y = U.shape[-2], U.shape[-1]
     nx = X - 2 * g
     ny = Y - 2 * g
-    W = cons_to_prim(U, eos)
+    if W is None:
+        W = cons_to_prim(U, eos, ws=ws)
+    elif W.shape != U.shape:
+        raise ValueError(f"W has shape {W.shape}, U has {U.shape}; W must be cons_to_prim(U)")
+    Uv = U[..., g : g + nx, g : g + ny]
+    Unew = ws.take("Unew", Uv.shape)
 
     # --- x-fluxes ------------------------------------------------------
     # Work on rows [g-1, -g+1) so slopes see one extra cell each side.
     Wx = W[..., g - 2 : X - (g - 2), g : Y - g]
-    WLx, WRx = interface_states(Wx, axis=-2, limiter=limiter)
-    Fx = solver(WLx, WRx, eos)
+    WLx, WRx = interface_states(Wx, axis=-2, limiter=limiter, ws=ws)
+    Fx = solver(WLx, WRx, eos, ws=ws)
     # Interface k of Wx separates its cells k,k+1; the valid faces are
     # those bounding valid cells: indices 1 .. nx+1 of Fx.
     Fx_valid = Fx[..., 1 : nx + 2, :]  # nx+1 faces
+    # Unew = Uv - dt/dx * (Fx[k+1] - Fx[k]), before the y-sweep reuses Fx
+    np.subtract(Fx_valid[..., 1:, :], Fx_valid[..., :-1, :], out=Unew)
+    np.multiply(dt / dx, Unew, out=Unew)
+    np.subtract(Uv, Unew, out=Unew)
 
     # --- y-fluxes (solver reads the normal velocity from QV directly) --
     Wy = W[..., g : X - g, g - 2 : Y - (g - 2)]
-    WLy, WRy = interface_states(Wy, axis=-1, limiter=limiter)
-    Gy = solver(WLy, WRy, eos, iu=QV, iv=QU)
+    WLy, WRy = interface_states(Wy, axis=-1, limiter=limiter, ws=ws)
+    Gy = solver(WLy, WRy, eos, iu=QV, iv=QU, ws=ws)
     Gy_valid = Gy[..., 1 : ny + 2]  # ny+1 faces
-
-    Uv = U[..., g : g + nx, g : g + ny]
-    Unew = Uv - dt / dx * (Fx_valid[..., 1:, :] - Fx_valid[..., :-1, :]) \
-              - dt / dy * (Gy_valid[..., 1:] - Gy_valid[..., :-1])
+    dG = ws.take("advance.dG", Unew.shape)
+    np.subtract(Gy_valid[..., 1:], Gy_valid[..., :-1], out=dG)
+    np.multiply(dt / dy, dG, out=dG)
+    np.subtract(Unew, dG, out=Unew)
     return Unew

@@ -1,37 +1,77 @@
-"""Second-order slope reconstruction with limiters (MUSCL).
+"""Piecewise-linear slope reconstruction with limiters.
 
-Castro's CTU/PPM machinery is approximated by a MUSCL–Hancock scheme:
-limited piecewise-linear slopes reconstruct left/right interface states.
-Three classic limiters are provided; minmod is the default for
-robustness at the Sedov shock.
+Castro's CTU/PPM machinery is approximated by second-order
+piecewise-linear reconstruction: limited slopes of the primitive
+variables at the old time level give the left/right interface states
+directly, with no Hancock half-step predictor.  Three classic limiters
+are provided; minmod is the default for robustness at the Sedov shock.
+
+Every function takes a keyword-only :class:`~repro.hydro.workspace.Workspace`
+``ws`` whose named buffers receive its temporaries and results (see
+that module); without one it uses a throwaway workspace.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
+
+from .workspace import Workspace
 
 __all__ = ["minmod", "mc_limiter", "superbee", "limited_slopes", "interface_states", "LIMITERS"]
 
 
-def minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minmod of two slope candidates."""
-    out = np.where(np.abs(a) < np.abs(b), a, b)
-    return np.where(a * b > 0.0, out, 0.0)
+def minmod(a: np.ndarray, b: np.ndarray, *, ws: Optional[Workspace] = None,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Minmod of two slope candidates.
+
+    The smaller-magnitude candidate where ``a * b > 0``, else ``+0.0``
+    (NaN products included).  ``out`` receives the result when given;
+    it must not alias ``a`` or ``b``.
+    """
+    ws = Workspace() if ws is None else ws
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    if out is None:
+        out = ws.take("minmod", shape)
+    abs_a = ws.take("minmod.abs_a", shape)
+    mask = ws.take("minmod.mask", shape, np.bool_)
+    np.abs(a, out=abs_a)
+    np.abs(b, out=out)  # |b|, until out takes b below
+    np.less(abs_a, out, out=mask)
+    np.copyto(out, b)
+    np.copyto(out, a, where=mask)
+    np.multiply(a, b, out=abs_a)
+    np.greater(abs_a, 0.0, out=mask)
+    np.logical_not(mask, out=mask)
+    np.copyto(out, 0.0, where=mask)
+    return out
 
 
-def mc_limiter(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Monotonized-central limiter (van Leer's MC)."""
+def _into(out: Optional[np.ndarray], result: np.ndarray) -> np.ndarray:
+    if out is None:
+        return result
+    np.copyto(out, result)
+    return out
+
+
+def mc_limiter(a: np.ndarray, b: np.ndarray, *, ws: Optional[Workspace] = None,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Monotonized-central limiter (van Leer's MC).  Arguments as for
+    :func:`minmod`; its temporaries are fresh arrays."""
     c = 0.5 * (a + b)
     limited = np.minimum(np.abs(c), 2.0 * np.minimum(np.abs(a), np.abs(b)))
-    return np.where(a * b > 0.0, np.sign(c) * limited, 0.0)
+    return _into(out, np.where(a * b > 0.0, np.sign(c) * limited, 0.0))
 
 
-def superbee(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superbee limiter (most compressive of the three)."""
+def superbee(a: np.ndarray, b: np.ndarray, *, ws: Optional[Workspace] = None,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Superbee limiter (most compressive of the three).  Arguments as
+    for :func:`minmod`; its temporaries are fresh arrays."""
     s1 = minmod(2.0 * a, b)
     s2 = minmod(a, 2.0 * b)
     pick = np.where(np.abs(s1) > np.abs(s2), s1, s2)
-    return np.where(a * b > 0.0, pick, 0.0)
+    return _into(out, np.where(a * b > 0.0, pick, 0.0))
 
 
 LIMITERS = {"minmod": minmod, "mc": mc_limiter, "superbee": superbee}
@@ -55,38 +95,54 @@ def _grid_axis(W: np.ndarray, axis: int) -> int:
     return ax
 
 
-def limited_slopes(W: np.ndarray, axis: int, limiter: str = "minmod") -> np.ndarray:
+def limited_slopes(W: np.ndarray, axis: int, limiter: str = "minmod", *,
+                   ws: Optional[Workspace] = None) -> np.ndarray:
     """Limited slope per cell along a grid ``axis`` of a (4, ...) array.
 
     ``axis`` is any axis but the leading component axis (negative
     indices count from the end, so ``-2``/``-1`` are the x/y grid axes
     of a patch).  The outermost cells get zero slope (they only feed
-    ghost regions).
+    ghost regions).  The result is ``ws``'s ``"dW"`` buffer.
     """
     try:
         lim = LIMITERS[limiter]
     except KeyError:
         raise ValueError(f"unknown limiter {limiter!r}; choose from {sorted(LIMITERS)}") from None
+    ws = Workspace() if ws is None else ws
     ax = _grid_axis(W, axis)
-    mid = _along(W.ndim, ax, slice(1, -1))
-    lo = _along(W.ndim, ax, slice(None, -2))
-    hi = _along(W.ndim, ax, slice(2, None))
-    dW = np.zeros_like(W)
-    dW[mid] = lim(W[mid] - W[lo], W[hi] - W[mid])
+    n = W.shape[ax]
+
+    def along(start, stop):
+        return _along(W.ndim, ax, slice(start, stop))
+
+    dW = ws.take("dW", W.shape)
+    dW[along(0, 1)] = 0.0
+    dW[along(n - 1, n)] = 0.0
+    # One difference per adjacent pair: cell k's backward difference
+    # W[k] - W[k-1] is cell k-1's forward one.
+    diff = ws.take("slopes.diff", W[along(1, None)].shape)
+    np.subtract(W[along(1, None)], W[along(None, -1)], out=diff)
+    lim(diff[along(None, -1)], diff[along(1, None)], ws=ws, out=dW[along(1, -1)])
     return dW
 
 
-def interface_states(W: np.ndarray, axis: int, limiter: str = "minmod"):
+def interface_states(W: np.ndarray, axis: int, limiter: str = "minmod", *,
+                     ws: Optional[Workspace] = None):
     """Left/right states at interfaces normal to ``axis``.
 
     For ``n`` cells along the axis there are ``n - 1`` interior
     interfaces; interface ``k`` separates cells ``k`` and ``k+1``:
     ``WL[k] = W[k] + dW[k]/2``, ``WR[k] = W[k+1] - dW[k+1]/2``.
+    The results are ``ws``'s ``"WL"`` and ``"WR"`` buffers.
     """
-    dW = limited_slopes(W, axis, limiter)
+    ws = Workspace() if ws is None else ws
+    dW = limited_slopes(W, axis, limiter, ws=ws)
     ax = _grid_axis(W, axis)
     lo = _along(W.ndim, ax, slice(None, -1))
     hi = _along(W.ndim, ax, slice(1, None))
-    WL = W[lo] + 0.5 * dW[lo]
-    WR = W[hi] - 0.5 * dW[hi]
+    np.multiply(0.5, dW, out=dW)
+    WL = ws.take("WL", W[lo].shape)
+    WR = ws.take("WR", W[hi].shape)
+    np.add(W[lo], dW[lo], out=WL)
+    np.subtract(W[hi], dW[hi], out=WR)
     return WL, WR

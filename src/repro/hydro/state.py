@@ -9,9 +9,12 @@ component-leading layout of Castro's per-box state data (FABs).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .eos import GammaLawEOS
+from .workspace import Workspace
 
 __all__ = [
     "NCOMP",
@@ -36,22 +39,30 @@ URHO, UMX, UMY, UEDEN = 0, 1, 2, 3
 QRHO, QU, QV, QP = 0, 1, 2, 3
 
 
-def cons_to_prim(U: np.ndarray, eos: GammaLawEOS) -> np.ndarray:
+def cons_to_prim(U: np.ndarray, eos: GammaLawEOS, *, ws: Optional[Workspace] = None) -> np.ndarray:
     """Convert conserved state (4, ...) to primitive (4, ...).
 
     Applies the EOS density/pressure floors for robustness near vacuum,
-    as Castro does after each hydro update.
+    as Castro does after each hydro update.  The result is ``ws``'s
+    ``"W"`` buffer, valid until the next conversion on ``ws``; without
+    a workspace it is a fresh array.
     """
-    rho = np.maximum(U[URHO], eos.small_density)
-    u = U[UMX] / rho
-    v = U[UMY] / rho
-    e_int = U[UEDEN] / rho - 0.5 * (u * u + v * v)
-    p = eos.pressure(rho, np.maximum(e_int, 0.0))
-    W = np.empty_like(U)
-    W[QRHO] = rho
-    W[QU] = u
-    W[QV] = v
-    W[QP] = p
+    ws = Workspace() if ws is None else ws
+    W = ws.take("W", U.shape)
+    rho, u, v, p = W[QRHO], W[QU], W[QV], W[QP]
+    np.maximum(U[URHO], eos.small_density, out=rho)
+    np.divide(U[UMX], rho, out=u)
+    np.divide(U[UMY], rho, out=v)
+    # e_int = U[UEDEN] / rho - 0.5 * (u * u + v * v), kinetic part in p
+    e_int = ws.take("c2p.e_int", rho.shape)
+    np.multiply(u, u, out=p)
+    np.multiply(v, v, out=e_int)
+    np.add(p, e_int, out=p)
+    np.multiply(0.5, p, out=p)
+    np.divide(U[UEDEN], rho, out=e_int)
+    np.subtract(e_int, p, out=e_int)
+    np.maximum(e_int, 0.0, out=e_int)
+    eos.pressure(rho, e_int, out=p)
     return W
 
 

@@ -9,6 +9,7 @@ plotfile dumps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,9 +41,12 @@ def cfl_timestep(W: np.ndarray, dx: float, dy: float, cfl: float, eos: GammaLawE
 
     ``dt = cfl / max((|u|+c)/dx, (|v|+c)/dy)``, the standard explicit
     hydrodynamics criterion (dimensionally split form Castro uses).
+
+    A non-finite state (``smax`` NaN or infinite) is refused rather than
+    turned into a NaN or zero step that would end a run silently.
     """
     smax = max_signal_speed(W, dx, dy, eos)
-    if smax <= 0.0:
+    if not 0.0 < smax < math.inf:
         raise ValueError(f"signal speed smax={smax}; cannot compute a CFL step")
     return cfl / smax
 

@@ -2,8 +2,9 @@
 
 The static side of the correctness tooling (``tools/lint``) proves
 cached buffers are *frozen at the source*; this module is the dynamic
-side: with ``REPRO_SANITIZE=1`` in the environment, the plan caches and
-the service LRU actively defend their invariants at runtime —
+side: with ``REPRO_SANITIZE=1`` in the environment, the plan caches,
+the service LRU and the hydro workspace actively defend their
+invariants at runtime —
 
 - every ndarray entering a cached payload is made read-only at insert,
   so aliasing writes fault at the write site instead of corrupting a
@@ -11,7 +12,11 @@ the service LRU actively defend their invariants at runtime —
 - plan payloads are checksummed when built and re-verified when
   replayed, so any drift between build and replay raises
   :class:`SanitizeError` at the replay site;
-- the LRU asserts its size bound on every insert.
+- the LRU asserts its size bound on every insert;
+- the hydro kernel's ``Workspace.take`` fills every scratch view it
+  hands out with NaN (``True`` for bool buffers), so a stage that reads
+  scratch before writing it fails the bit-identity oracle instead of
+  passing on a stale value that happens to be right.
 
 The freeze helpers (:func:`frozen`, :func:`freeze_payload`) are safe to
 call unconditionally — freezing is a flag flip, not a copy — and some

@@ -35,6 +35,7 @@ from ..hydro.flux import NGHOST_REQUIRED, advance_patch
 from ..hydro.sedov import SedovProblem
 from ..hydro.state import NCOMP, QP, URHO, cons_to_prim
 from ..hydro.timestep import TimestepController, cfl_timestep
+from ..hydro.workspace import Workspace
 from ..iosim.darshan import IOTrace
 from ..iosim.filesystem import FileSystem, VirtualFileSystem
 from ..platform import get_platform
@@ -124,6 +125,8 @@ class CastroSim:
         for _ in range(inp.max_level):
             self._fine_geom = self._fine_geom.refine(inp.ref_ratio)
         self._U = self._initialize_state()
+        # Scratch for the fine steps: sized by the first, reused by all.
+        self._ws = Workspace()
         self._tc = TimestepController(
             cfl=inp.cfl, init_shrink=inp.init_shrink, change_max=inp.change_max
         )
@@ -184,15 +187,20 @@ class CastroSim:
 
     # ------------------------------------------------------------------
     def _fine_advance_once(self) -> float:
-        """One fine step; returns the dt taken."""
+        """One fine step; returns the dt taken.
+
+        The primitives are computed once, over the ghosted patch, and
+        feed both the CFL step and the kernel.  Filling the ghosts
+        first leaves the valid cells' primitives what they were.
+        """
         g = self._g
         inp = self.inputs
-        W = cons_to_prim(self._U[:, g:-g, g:-g], self.eos)
-        dx, dy = self._fine_geom.cell_size
-        dt = self._tc.next_dt(cfl_timestep(W, dx, dy, inp.cfl, self.eos))
         apply_boundary(self._U, g, inp.lo_bc, inp.hi_bc)
+        W = cons_to_prim(self._U, self.eos, ws=self._ws)
+        dx, dy = self._fine_geom.cell_size
+        dt = self._tc.next_dt(cfl_timestep(W[:, g:-g, g:-g], dx, dy, inp.cfl, self.eos))
         self._U[:, g:-g, g:-g] = advance_patch(
-            self._U, dt, dx, dy, self.eos, nghost=g
+            self._U, dt, dx, dy, self.eos, nghost=g, W=W, ws=self._ws
         )
         return dt
 

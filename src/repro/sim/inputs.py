@@ -8,6 +8,7 @@ Listing-2 knobs with Castro's defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -175,6 +176,12 @@ class CastroInputs:
             raise ValueError("plot_int must be >= 1")
         if self.max_step < 0:
             raise ValueError("max_step must be >= 0")
+        # a step ramp that is zero, negative or NaN gives a run whose time
+        # never advances, runs backwards, or stops after one step
+        for name in ("cfl", "init_shrink", "change_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @property
     def nlevels(self) -> int:

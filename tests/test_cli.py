@@ -33,6 +33,20 @@ class TestSedovMain:
         out = capsys.readouterr().out
         assert "64x64" in out
 
+    @pytest.mark.parametrize("line", [
+        "castro.cfl = -0.5", "castro.cfl = 0", "castro.init_shrink = -1",
+    ])
+    def test_inputs_file_with_non_physical_step_is_a_usage_error(self, tmp_path, capsys, line):
+        inputs = tmp_path / "inputs"
+        inputs.write_text("max_step = 4\namr.n_cell = 64 64\n" + line + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            sedov_main(["--case", "solver64", "--inputs", str(inputs)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert line.split(" = ")[0].split(".")[1] in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_outdir_writes_files(self, tmp_path, capsys):
         rc = sedov_main(["--case", "solver64", "--outdir", str(tmp_path / "o")])
         assert rc == 0

@@ -10,7 +10,7 @@ from repro.hydro.sedov import (
     sedov_taylor_radius,
     sedov_taylor_shock_speed,
 )
-from repro.hydro.state import NCOMP, UEDEN, URHO
+from repro.hydro.state import NCOMP, QP, QU, UEDEN, URHO
 from repro.hydro.timestep import TimestepController, cfl_timestep
 
 EOS = GammaLawEOS()
@@ -30,6 +30,16 @@ class TestCflTimestep:
         assert cfl_timestep(W, 0.1, 0.1, 0.6, EOS) == pytest.approx(
             2 * cfl_timestep(W, 0.1, 0.1, 0.3, EOS)
         )
+
+    @pytest.mark.parametrize("comp,value", [(QU, np.nan), (QU, np.inf), (QP, np.nan)],
+                             ids=["nan_u", "inf_u", "nan_p"])
+    def test_non_finite_state_raises(self, comp, value):
+        # a NaN cell made the step NaN and an infinite speed made it 0.0
+        W = np.empty((NCOMP, 4, 4))
+        W[0], W[1], W[2], W[3] = 1.0, 0.0, 0.0, 1.0
+        W[comp, 1, 2] = value
+        with pytest.raises(ValueError, match="smax"):
+            cfl_timestep(W, 0.1, 0.1, 0.5, EOS)
 
 
 class TestController:

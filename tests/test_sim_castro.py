@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hydro.sedov import SedovProblem
+from repro.hydro.state import UMX
 from repro.iosim.filesystem import VirtualFileSystem
 from repro.plotfile.reader import inspect_plotfile, list_plotfiles
 from repro.sim.castro import CastroSim
@@ -123,3 +124,18 @@ class TestRegridCadence:
         ]
         assert l1_cells[-1] > l1_cells[0] * 0  # present at the end
         assert max(l1_cells) > 0
+
+
+class TestNonFiniteState:
+    def test_nan_momentum_cell_raises(self):
+        """One NaN cell used to give a NaN dt, so ``time < stop_time``
+        went false and the run returned after one step, without error."""
+        inputs = CastroInputs(
+            n_cell=(16, 16), max_level=1, max_step=6, plot_int=2,
+            stop_time=1e9, max_grid_size=16, cfl=0.5,
+        )
+        sim = CastroSim(inputs, nprocs=1, problem=SedovProblem(r_init=0.1))
+        g = sim._g
+        sim._U[UMX, g + 3, g + 5] = np.nan
+        with pytest.raises(ValueError, match="smax"):
+            sim.run()

@@ -102,3 +102,13 @@ class TestCastroInputs:
             CastroInputs(plot_int=0)
         with pytest.raises(ValueError):
             CastroInputs(max_step=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("cfl", -0.5), ("cfl", 0.0), ("cfl", float("nan")), ("cfl", float("inf")),
+        ("init_shrink", -1.0), ("init_shrink", 0.0), ("init_shrink", float("nan")),
+        ("change_max", 0.0), ("change_max", -1.1), ("change_max", float("nan")),
+    ])
+    def test_rejects_non_physical_step_inputs(self, field, value):
+        # negative dump times, a time that never advances, one-step runs
+        with pytest.raises(ValueError, match=field):
+            CastroInputs(**{field: value})
