@@ -12,9 +12,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Just the prediction-service layer: engine/LRU/serve unit tests, the
-# one-shot equivalence suite, and the fault-injection suite.
+# one-shot equivalence suite, the fault-injection suite, the wire
+# byte-identity oracle, and the serving chaos suite (deadlines,
+# backpressure, breaker, kill+restart-from-snapshot byte identity).
 test-service:
-	$(PYTHON) -m pytest tests/test_service.py tests/test_service_equivalence.py tests/test_service_faults.py -q
+	$(PYTHON) -m pytest tests/test_service.py tests/test_service_equivalence.py tests/test_service_faults.py tests/test_service_wire.py tests/test_service_chaos.py -q
 
 # The chaos suite with injection armed and the runtime sanitizer on:
 # fault-policy retries, supervised-pool recovery (kills, hangs, poison

@@ -42,6 +42,9 @@ class AmrParams:
             raise ValueError("max_level must be >= 0")
         if self.ref_ratio < 2:
             raise ValueError("ref_ratio must be >= 2")
+        if self.blocking_factor < 1:
+            raise ValueError(
+                f"blocking_factor must be >= 1, got {self.blocking_factor}")
         if self.n_cell[0] % self.blocking_factor or self.n_cell[1] % self.blocking_factor:
             raise ValueError(
                 f"n_cell {self.n_cell} must be divisible by "

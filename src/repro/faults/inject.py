@@ -353,13 +353,14 @@ _memo: Dict[Tuple[str, ...], FaultInjector] = {}
 def active() -> Optional[FaultInjector]:
     """The process-wide injector, or ``None`` when injection is off.
 
-    Memoized on the tuple of ``REPRO_FAULTS_*`` values so repeated calls
-    on hot paths cost one environ read, while env changes (tests,
-    chaos harness) still take effect immediately.
+    Off costs one environ read (the gate), which is what hot paths pay.
+    On, the injector is memoized on the tuple of ``REPRO_FAULTS_*``
+    values, so env changes (tests, chaos harness) still take effect
+    immediately.
     """
-    snapshot = tuple(os.environ.get(k, "") for k in _ENV_KEYS)
-    if snapshot[0].strip() in ("", "0"):
+    if os.environ.get(_ENV_GATE, "").strip() in ("", "0"):
         return None
+    snapshot = tuple(os.environ.get(k, "") for k in _ENV_KEYS)
     injector = _memo.get(snapshot)
     if injector is None:
         if len(_memo) > 16:

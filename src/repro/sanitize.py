@@ -13,6 +13,9 @@ invariants at runtime —
   replayed, so any drift between build and replay raises
   :class:`SanitizeError` at the replay site;
 - the LRU asserts its size bound on every insert;
+- the serve layer re-encodes every ``cached: true`` predict answer it
+  writes from a prediction-LRU entry's kept wire text and checks the two
+  agree, so a stale or corrupted entry fails instead of shipping;
 - the hydro kernel's ``Workspace.take`` fills every scratch view it
   hands out with NaN (``True`` for bool buffers), so a stage that reads
   scratch before writing it fails the bit-identity oracle instead of

@@ -63,6 +63,22 @@ def _capture(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+class CachedPrediction:
+    """One prediction-LRU value: the prediction plus, once a ``cached:
+    true`` answer has been served from it, that answer's encoded wire
+    text after ``"ok":true,`` (kept here by the serve layer).
+
+    The text depends only on the prediction, so it is built at most once
+    per entry and evicted with it; snapshots store the prediction alone.
+    """
+
+    __slots__ = ("prediction", "text")
+
+    def __init__(self, prediction: SizePrediction) -> None:
+        self.prediction = prediction
+        self.text: Optional[str] = None
+
+
 class PredictionService:
     """Batched query engine over the predictor and the result store.
 
@@ -152,14 +168,16 @@ class PredictionService:
                     raise ValueError(
                         f"expected a PredictRequest, got {type(req).__name__}"
                     )
-                prediction = self._predictions.get(req)
-                cached = prediction is not None
-                if not cached:
+                entry = self._predictions.get(req)
+                cached = entry is not None
+                if cached:
+                    prediction = entry.prediction
+                else:
                     now = clock() if bounded else 0.0
                     if now >= t_end:
                         deadline.check(f"predict request {i}")
                     prediction = self._predict(req)
-                    self._predictions.put(req, prediction)
+                    self._remember(req, prediction)
                     self.n_predicted += 1
                     if (per_request_s is not None
                             and clock() - now >= per_request_s):
@@ -183,13 +201,31 @@ class PredictionService:
     def _predict_cached(self, req: PredictRequest):
         """``(prediction, cached)`` through the prediction LRU — the one
         compute-or-cache path shared by predicts and degraded lookups."""
-        prediction = self._predictions.get(req)
-        cached = prediction is not None
-        if not cached:
-            prediction = self._predict(req)
-            self._predictions.put(req, prediction)
-            self.n_predicted += 1
-        return prediction, cached
+        entry = self._predictions.get(req)
+        if entry is not None:
+            return entry.prediction, True
+        prediction = self._predict(req)
+        self._remember(req, prediction)
+        self.n_predicted += 1
+        return prediction, False
+
+    def _remember(self, req: PredictRequest, prediction: SizePrediction) -> None:
+        """Insert one prediction into the LRU (also the snapshot restore)."""
+        self._predictions.put(req, CachedPrediction(prediction))
+
+    def cached_entry(self, request: PredictRequest,
+                     prediction: SizePrediction) -> Optional[CachedPrediction]:
+        """The LRU entry that still holds ``prediction`` for ``request``,
+        or ``None`` once it was evicted or replaced.
+
+        Uncounted and recency-neutral (a peek): the serve layer calls it
+        after :meth:`predict_many` to keep a hit's encoded text on the
+        entry, so callers that never serialize pay nothing.
+        """
+        entry = self._predictions.peek(request)
+        if entry is not None and entry.prediction is prediction:
+            return entry
+        return None
 
     def predict_one(self, request: PredictRequest) -> PredictResponse:
         return self.predict_many([request])[0]

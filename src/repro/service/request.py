@@ -14,8 +14,9 @@ A batch is a sequence of requests, each one of:
 
 Requests are frozen and hashable — the request *is* the cache key —
 and every response carries ``index`` (its request's position in the
-batch) plus per-request error capture: a bad request yields an error
-response at its index, never a batch failure.
+batch; on the wire, in the whole stream) plus per-request error
+capture: a bad request yields an error response at its index, never a
+batch failure.
 
 The wire form is JSON-lines: one request object per line with an
 optional ``"op"`` field (``"predict"``, the default, or ``"lookup"``);
@@ -164,6 +165,11 @@ Response = Union[PredictResponse, LookupResponse]
 
 # ----------------------------------------------------------------------
 # JSONL wire form
+# The compact-JSON head of every ok predict line: ``response_to_dict``
+# puts these keys first, in this order.  The serve layer writes a cached
+# answer as this head plus the encoded text that follows it.
+PREDICT_OK_HEAD = '{"op":"predict","index":%d,"ok":true,'
+
 _PREDICT_KEYS = {"op", "scenario", "machine", "nprocs", "steps", "f", "inputs"}
 _LOOKUP_KEYS = {"op", "scenario", "machine"}
 

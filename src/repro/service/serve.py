@@ -27,12 +27,14 @@ per-request data rather than batch failures:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
+from .. import sanitize
 from ..faults import active as _faults_active
 from .engine import PredictionService
 from .request import (
+    PREDICT_OK_HEAD,
     LookupRequest,
     PredictRequest,
     request_from_dict,
@@ -64,43 +66,64 @@ class ServeReport:
             setattr(self, field, getattr(self, field) + getattr(other, field))
 
 
+def _dumps(payload: Dict) -> str:
+    """The wire encoder: compact JSON, no newline."""
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def _encode(response, index: int) -> str:
+    """One engine response's wire JSON at stream position ``index``."""
+    payload = response_to_dict(response)
+    payload["index"] = index
+    return _dumps(payload)
+
+
 def serve_lines(
     service: PredictionService,
     lines: Iterable[str],
     max_queue: Optional[int] = None,
     deadline: Union[None, float, Deadline] = None,
     per_request_s: Optional[float] = None,
-) -> Tuple[List[Dict], ServeReport]:
-    """Answer a batch of JSONL request lines; responses in input order.
+    *,
+    start: int = 0,
+) -> Tuple[List[str], ServeReport]:
+    """Answer a batch of JSONL request lines; response lines in input order.
 
-    Blank lines are skipped (a trailing newline is not a request).
-    ``max_queue`` is the admission bound: requests beyond it are shed
-    with a ``ServiceOverloaded`` error response at their index.  The
-    ``deadline`` budget is shared across the predict and lookup phases
-    of the batch; ``per_request_s`` bounds each request on its own.
+    Returns newline-terminated wire lines whose ``index`` is ``start``
+    plus the request's position in the batch (``start`` is the stream
+    position of the batch's first request).  Blank lines are skipped (a
+    trailing newline is not a request).  ``max_queue`` is the admission
+    bound: requests beyond it are shed with a ``ServiceOverloaded``
+    error response at their index.  The ``deadline`` budget is shared
+    across the predict and lookup phases of the batch;
+    ``per_request_s`` bounds each request on its own.
+
+    A ``cached: true`` predict answer is encoded once per prediction-LRU
+    entry: its first hit slices the text after ``"ok":true,`` off the
+    full encoding and keeps it on the entry, and later hits write the
+    line head plus that text.  Misses, lookups and errors are encoded
+    from :func:`response_to_dict` every time.
     """
     report = ServeReport()
     deadline = Deadline.of(deadline)
     parsed: List[Tuple[int, str]] = []
-    responses: List[Dict] = []
     for line in lines:
         line = line.strip()
-        if not line:
-            continue
-        parsed.append((len(parsed), line))
-        responses.append({})
+        if line:
+            parsed.append((len(parsed), line))
+    out: List[str] = [""] * len(parsed)
     report.n_requests = len(parsed)
     # Admission control: everything past max_queue is shed *before*
     # parsing — an overloaded service does not spend parse time on
     # requests it will not answer.
     if max_queue is not None and len(parsed) > max_queue:
         for i, _ in parsed[max_queue:]:
-            responses[i] = {
-                "index": i, "ok": False, "shed": True,
+            out[i] = _dumps({
+                "index": start + i, "ok": False, "shed": True,
                 "error": f"ServiceOverloaded: admission queue full "
                          f"({len(parsed)} requests > max_queue={max_queue}); "
                          f"request shed",
-            }
+            }) + "\n"
             report.n_errors += 1
             report.n_shed += 1
             service.n_errors += 1
@@ -113,10 +136,10 @@ def serve_lines(
         try:
             request = request_from_dict(json.loads(line))
         except Exception as exc:
-            responses[i] = {
-                "index": i, "ok": False,
+            out[i] = _dumps({
+                "index": start + i, "ok": False,
                 "error": f"{type(exc).__name__}: {exc}",
-            }
+            }) + "\n"
             report.n_errors += 1
             continue
         if isinstance(request, PredictRequest):
@@ -131,35 +154,49 @@ def serve_lines(
             [r for _, r in predicts], deadline=deadline,
             per_request_s=per_request_s,
         )
-        for (i, _), resp in zip(predicts, answers):
-            resp = replace(resp, index=i)
+        check = sanitize.enabled()
+        for (i, request), resp in zip(predicts, answers):
             report.n_errors += not resp.ok
             report.n_cached += resp.cached
-            responses[i] = response_to_dict(resp)
+            index = start + i
+            entry = (service.cached_entry(request, resp.prediction)
+                     if resp.cached else None)
+            if entry is not None and entry.text is not None:
+                head = PREDICT_OK_HEAD % index
+                if check:
+                    sanitize.check(
+                        entry.text == _encode(resp, index)[len(head):],
+                        f"cached wire text of predict request {index} "
+                        f"differs from a fresh encoding")
+                out[i] = f"{head}{entry.text}\n"
+                continue
+            text = _encode(resp, index)
+            if entry is not None:  # first hit: keep the text for the next
+                entry.text = text[len(PREDICT_OK_HEAD % index):]
+            out[i] = text + "\n"
     if lookups:
         if service.store is None:
             # no store on this service: per-request errors, not a crash
             for i, _ in lookups:
-                responses[i] = {
-                    "op": "lookup", "index": i, "ok": False,
+                out[i] = _dumps({
+                    "op": "lookup", "index": start + i, "ok": False,
                     "error": "ValueError: no ResultStore attached "
                              "(start the service with --store)",
-                }
+                }) + "\n"
                 report.n_errors += 1
             report.n_deadline += service.n_deadline - deadline_before
-            return responses, report
+            return out, report
         answers = service.lookup_many(
             [r for _, r in lookups], deadline=deadline,
             per_request_s=per_request_s,
         )
         for (i, _), resp in zip(lookups, answers):
-            resp = replace(resp, index=i)
             report.n_errors += not resp.ok
             report.n_store_hits += resp.hit
             report.n_degraded += resp.degraded
-            responses[i] = response_to_dict(resp)
+            out[i] = _encode(resp, start + i) + "\n"
     report.n_deadline += service.n_deadline - deadline_before
-    return responses, report
+    return out, report
 
 
 def serve_stream(
@@ -175,8 +212,8 @@ def serve_stream(
 ) -> ServeReport:
     """Serve a JSONL stream end to end (one response line per request).
 
-    With ``batch_size`` the stream is answered in chunks: responses are
-    flushed after every chunk and indices stay *global* (a response's
+    With ``batch_size`` the stream is answered in chunks, each written
+    with one ``write`` and flushed; indices stay *global* (a response's
     ``index`` is its request's position in the whole stream), so the
     output is byte-identical to the unchunked run.  ``deadline_s``
     budgets each batch; ``snapshots`` saves the warm caches at batch
@@ -195,16 +232,14 @@ def serve_stream(
         if base < skip:  # partial chunk boundary: drop the served head
             chunk = chunk[skip - base:]
             base = skip
-        responses, batch_report = serve_lines(
+        out, batch_report = serve_lines(
             service, chunk, max_queue=max_queue,
-            deadline=deadline_s, per_request_s=per_request_s,
+            deadline=deadline_s, per_request_s=per_request_s, start=base,
         )
         report.merge(batch_report)
-        for payload in responses:
-            payload["index"] += base
-            outfile.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        outfile.write("".join(out))
         outfile.flush()
-        base += len(responses)
+        base += len(out)
         batch_no += 1
         if snapshots is not None:
             snapshots.maybe_save(served=base)

@@ -5,7 +5,9 @@ restart used to throw that state away.  This module persists the hot
 state periodically and restores it on startup:
 
 * **What is saved** — the prediction LRU as pickled
-  ``(PredictRequest, SizePrediction)`` pairs in LRU→MRU order, the plan
+  ``(PredictRequest, SizePrediction)`` pairs in LRU→MRU order (not the
+  encoded wire text an entry may hold: a restored service rebuilds it
+  on the entry's next hit), the plan
   LRU as bare ``(machine, nprocs)`` keys (plans are rebuilt
   deterministically on restore — cheaper and safer than pickling
   platform objects), and a ``served`` cursor: how many stream requests
@@ -90,7 +92,8 @@ def save_snapshot(service: "PredictionService", path: str,
         {
             "code_version": _code_version(),
             "served": int(served),
-            "predictions": service._predictions.items(),
+            "predictions": [(req, entry.prediction)
+                            for req, entry in service._predictions.items()],
             "plans": list(service._plans),
         },
         protocol=4,
@@ -157,7 +160,7 @@ def load_snapshot(service: "PredictionService", path: str) -> SnapshotInfo:
         for machine, nprocs in data["plans"]:
             service._plan(machine, nprocs)  # rebuilt, not unpickled
         for req, prediction in data["predictions"]:
-            service._predictions.put(req, prediction)
+            service._remember(req, prediction)  # wire text rebuilt on a hit
         return SnapshotInfo(restored=len(data["predictions"]),
                             served=int(data["served"]))
     except Exception as exc:

@@ -176,6 +176,17 @@ class CastroInputs:
             raise ValueError("plot_int must be >= 1")
         if self.max_step < 0:
             raise ValueError("max_step must be >= 0")
+        # a zero interval is a modulo by zero in the solver's regrid
+        # cadence and the hierarchy's divisibility check; neither engine
+        # has a "never regrid" mode, so <= 0 is refused, as for plot_int
+        for name in ("regrid_int", "blocking_factor"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        # NaN compares false both ways: the solver would stop at step 0
+        # and the workload timebase run to max_step (+inf means no limit)
+        if math.isnan(self.stop_time):
+            raise ValueError(f"stop_time must not be NaN, got {self.stop_time!r}")
         # a step ramp that is zero, negative or NaN gives a run whose time
         # never advances, runs backwards, or stops after one step
         for name in ("cfl", "init_shrink", "change_max"):

@@ -28,6 +28,11 @@ class TestAmrParams:
         with pytest.raises(ValueError):
             AmrParams(n_cell=(30, 32), blocking_factor=8)
 
+    @pytest.mark.parametrize("blocking_factor", [0, -8])
+    def test_blocking_factor_checked_before_the_modulo(self, blocking_factor):
+        with pytest.raises(ValueError, match="blocking_factor"):
+            AmrParams(blocking_factor=blocking_factor)
+
 
 class TestBaseLevel:
     def test_base_covers_domain(self):

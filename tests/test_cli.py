@@ -47,6 +47,23 @@ class TestSedovMain:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("line,field", [
+        ("stop_time = nan", "stop_time"),
+        ("amr.regrid_int = 0", "regrid_int"),
+        ("amr.blocking_factor = 0", "blocking_factor"),
+    ])
+    def test_inputs_file_with_invalid_cadence_is_a_usage_error(
+            self, tmp_path, capsys, line, field):
+        inputs = tmp_path / "inputs"
+        inputs.write_text("max_step = 4\namr.n_cell = 64 64\n" + line + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            sedov_main(["--case", "solver64", "--inputs", str(inputs)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_outdir_writes_files(self, tmp_path, capsys):
         rc = sedov_main(["--case", "solver64", "--outdir", str(tmp_path / "o")])
         assert rc == 0

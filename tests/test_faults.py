@@ -175,6 +175,40 @@ class TestGating:
         monkeypatch.delenv("REPRO_FAULTS")
         assert active() is None
 
+    @pytest.mark.parametrize("key,value,attr,want", [
+        ("REPRO_FAULTS_SEED", "7", "seed", 7),
+        ("REPRO_FAULTS_TRANSIENT", "0.5", "transient_rate", 0.5),
+        ("REPRO_FAULTS_TRANSIENT_ATTEMPTS", "3", "transient_attempts", 3),
+        ("REPRO_FAULTS_SLOW", "case4", "slow_cases", ("case4",)),
+        ("REPRO_FAULTS_SLOW_S", "0.25", "slow_seconds", 0.25),
+        ("REPRO_FAULTS_KILL", "serve-batch-2:1", "kill", (("serve-batch-2", 1),)),
+        ("REPRO_FAULTS_TORN", "case5", "torn_cases", ("case5",)),
+        ("REPRO_FAULTS_CORRUPT", "0.125", "corrupt_rate", 0.125),
+        ("REPRO_FAULTS_STORE_SLOW", "case27", "store_slow_cases", ("case27",)),
+        ("REPRO_FAULTS_SNAPSHOT_TORN", "x.snap", "snapshot_torn_cases", ("x.snap",)),
+    ])
+    def test_gate_and_every_key_take_effect_immediately(
+            self, monkeypatch, key, value, attr, want):
+        """Off reads only the gate, but nothing is latched: flipping the
+        gate, or any other key while it is on, shows on the next call."""
+        for other in ("REPRO_FAULTS_STORE_SLOW", "REPRO_FAULTS_SNAPSHOT_TORN"):
+            monkeypatch.delenv(other, raising=False)
+        monkeypatch.setenv(key, value)
+        assert active() is None  # gate unset: the key alone arms nothing
+        monkeypatch.setenv("REPRO_FAULTS", "0")
+        assert active() is None
+        monkeypatch.setenv("REPRO_FAULTS", "1")
+        armed = active()
+        assert armed is not None and getattr(armed.spec, attr) == want
+        monkeypatch.delenv(key)
+        cleared = active()
+        assert cleared is not armed
+        assert getattr(cleared.spec, attr) == getattr(FaultSpec(), attr)
+        monkeypatch.setenv(key, value)
+        assert getattr(active().spec, attr) == want
+        monkeypatch.setenv("REPRO_FAULTS", "")
+        assert active() is None
+
 
 class TestFaultPolicy:
     def test_retryable_matches_transient_signatures(self):

@@ -22,6 +22,15 @@ from repro.service import (
 )
 
 
+def wire(out):
+    """Decode ``serve_lines``' response lines."""
+    return [json.loads(line) for line in out]
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"response line carries non-JSON {name}")
+
+
 def small_sweep(n_meshes=1):
     ladder = [(64, 2, 1), (128, 4, 1)][:n_meshes]
     return sweep_cases(mesh_ladder=ladder, cfls=(0.3, 0.6), max_levels=(1,),
@@ -236,7 +245,8 @@ class TestWireForm:
             json.dumps({"op": "lookup", "scenario": "case4"}),
             json.dumps({"scenario": "case4", "nprocs": 8, "steps": 20}),
         ]
-        responses, report = serve_lines(service, lines)
+        out, report = serve_lines(service, lines)
+        responses = wire(out)
         assert [r["index"] for r in responses] == [0, 1, 2, 3]
         assert responses[0]["ok"] and responses[0]["n_dumps"] > 0
         assert not responses[1]["ok"] and "JSONDecodeError" in responses[1]["error"]
@@ -250,9 +260,10 @@ class TestWireForm:
         service = PredictionService()
         lines = [json.dumps({"scenario": "case4", "nprocs": 4, "steps": 10}),
                  json.dumps({"machine": "neptune"})]
-        responses, _ = serve_lines(service, lines)
-        for payload in responses:
-            json.loads(json.dumps(payload))
+        out, _ = serve_lines(service, lines)
+        for line in out:
+            assert line.endswith("\n") and line.count("\n") == 1
+            json.loads(line)
 
     @pytest.mark.parametrize("f", ["NaN", "Infinity"])
     def test_non_finite_f_is_a_per_request_error(self, f):
@@ -260,12 +271,13 @@ class TestWireForm:
         ``ok`` with NaN sizes (which is not RFC 8259 JSON either)."""
         lines = ['{"scenario":"case4","f":%s}' % f,
                  json.dumps({"scenario": "case4", "nprocs": 4, "steps": 10})]
-        responses, report = serve_lines(PredictionService(), lines)
+        out, report = serve_lines(PredictionService(), lines)
+        responses = wire(out)
         assert not responses[0]["ok"]
         assert "f must be positive and finite" in responses[0]["error"]
         assert responses[1]["ok"] and report.n_errors == 1
-        for payload in responses:
-            json.dumps(payload, allow_nan=False)
+        for line in out:
+            json.loads(line, parse_constant=_refuse_constant)
 
     @pytest.mark.parametrize("field,value", [
         ("steps", 40.5), ("steps", True), ("f", True),
@@ -276,7 +288,8 @@ class TestWireForm:
         number; ``True == 1`` must not answer (or share a cache key) as 1."""
         lines = [json.dumps({"scenario": "case4", field: value}),
                  json.dumps({"scenario": "case4", "nprocs": 4, "steps": 10})]
-        responses, report = serve_lines(PredictionService(), lines)
+        out, report = serve_lines(PredictionService(), lines)
+        responses = wire(out)
         assert not responses[0]["ok"]
         assert responses[0]["error"].startswith(f"ValueError: {field} must be")
         assert responses[1]["ok"] and report.n_errors == 1
@@ -285,7 +298,8 @@ class TestWireForm:
         service = PredictionService()
         lines = [json.dumps({"op": "lookup", "scenario": "case4"}),
                  json.dumps({"scenario": "case4", "nprocs": 4, "steps": 10})]
-        responses, report = serve_lines(service, lines)
+        out, report = serve_lines(service, lines)
+        responses = wire(out)
         assert not responses[0]["ok"] and "--store" in responses[0]["error"]
         assert responses[1]["ok"]
         assert report.n_errors == 1

@@ -167,7 +167,8 @@ class TestBackpressure:
         service = PredictionService()
         lines = [json.dumps({"scenario": "case4", "nprocs": 2 ** i,
                              "steps": 10}) for i in range(6)]
-        responses, report = serve_lines(service, lines, max_queue=4)
+        out, report = serve_lines(service, lines, max_queue=4)
+        responses = [json.loads(line) for line in out]
         assert len(responses) == 6
         assert all(r["ok"] for r in responses[:4])
         for payload in responses[4:]:
@@ -180,7 +181,8 @@ class TestBackpressure:
     def test_under_capacity_sheds_nothing(self):
         service = PredictionService()
         lines = [json.dumps({"scenario": "case4", "steps": 10})] * 3
-        responses, report = serve_lines(service, lines, max_queue=3)
+        out, report = serve_lines(service, lines, max_queue=3)
+        responses = [json.loads(line) for line in out]
         assert report.n_shed == 0
         assert all(r["ok"] for r in responses)
 

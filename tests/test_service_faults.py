@@ -156,7 +156,8 @@ class TestPerRequestFaults:
             '[1, 2, 3]',
             '{"scenario": "case4", "nprocs": 4, "steps": 10}',
         ]
-        responses, report = serve_lines(service, lines)
+        out, report = serve_lines(service, lines)
+        responses = [json.loads(line) for line in out]
         assert [r["ok"] for r in responses] == [True, False, False, False, True]
         assert report.n_errors == 3
         assert responses[4]["cached"]
@@ -219,7 +220,8 @@ class TestErrorClassNames:
             '{"machine": "neptune", "nprocs": 8, "steps": 10}',
             '{"scenario": "no-such-case"}',
         ]
-        responses, report = serve_lines(service, lines)
+        out, report = serve_lines(service, lines)
+        responses = [json.loads(line) for line in out]
         assert report.n_errors == len(lines)
         assert responses[0]["error"].startswith("JSONDecodeError: ")
         assert responses[1]["error"].startswith("ValueError: ")

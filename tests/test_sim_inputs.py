@@ -112,3 +112,23 @@ class TestCastroInputs:
         # negative dump times, a time that never advances, one-step runs
         with pytest.raises(ValueError, match=field):
             CastroInputs(**{field: value})
+
+    def test_rejects_nan_stop_time(self):
+        # NaN compares false both ways: the solver stopped at step 0 and
+        # the workload timebase ran on to max_step on the same input
+        with pytest.raises(ValueError, match="stop_time"):
+            CastroInputs(stop_time=float("nan"))
+
+    @pytest.mark.parametrize("stop_time", [float("inf"), 0.0, -1.0, 1e9])
+    def test_non_nan_stop_time_keeps_its_meaning(self, stop_time):
+        assert CastroInputs(stop_time=stop_time).stop_time == stop_time
+
+    @pytest.mark.parametrize("field,value", [
+        ("regrid_int", 0), ("regrid_int", -1),
+        ("blocking_factor", 0), ("blocking_factor", -8),
+    ])
+    def test_rejects_intervals_below_one(self, field, value):
+        # both were a bare ZeroDivisionError (regrid cadence, n_cell
+        # divisibility); regrid_int = -1 used to regrid every step
+        with pytest.raises(ValueError, match=field):
+            CastroInputs(**{field: value})
