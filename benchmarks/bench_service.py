@@ -11,8 +11,9 @@ and measure predictions/sec through three paths:
    dominate the bench for no extra information);
 2. **cold** — a fresh :class:`~repro.service.PredictionService` seeing
    the batch for the first time: unique configurations compute through
-   cached platform plans + the vectorized uniform-burst path, repeats
-   hit the LRU mid-batch;
+   cached platform plans, each holding the storage model's even-split
+   burst law built once (``predict_sizes`` builds it per call), and
+   repeats hit the LRU mid-batch;
 3. **warm** — the same service replaying the full batch, every request
    an LRU hit.
 

@@ -26,7 +26,7 @@ from .growth import (
     growth_series,
 )
 from .interpolation import GrowthTable, interpolate_growth, paper_guidance_growth
-from .predictor import DEFAULT_F, SizePrediction, burst_series, predict_sizes
+from .predictor import DEFAULT_F, SizePrediction, predict_sizes
 from .part_size import (
     CASE4_PART_SIZE,
     F_RANGE_PAPER,
@@ -40,7 +40,6 @@ from .variables import ModelSeries, build_series, per_level_series, per_task_ser
 __all__ = [
     "DEFAULT_F",
     "SizePrediction",
-    "burst_series",
     "predict_sizes",
     "CalibrationReport",
     "ProxyVerification",

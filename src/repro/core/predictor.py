@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..iosim.storage import StorageModel
+from ..iosim.storage import EvenSplitLaw, StorageModel
 from ..parallel.topology import JobTopology
 from ..platform import get_platform
 from ..sim.inputs import CastroInputs
@@ -35,34 +35,11 @@ __all__ = [
     "SizePrediction",
     "predict_sizes",
     "size_series",
-    "burst_series",
     "DEFAULT_F",
 ]
 
 # Midpoint of the paper's empirical band — the zero-information prior.
 DEFAULT_F = 24.0
-
-
-def burst_series(
-    storage: StorageModel,
-    step_bytes: np.ndarray,
-    nprocs: int,
-    node_map: np.ndarray,
-) -> np.ndarray:
-    """Per-dump burst times of an even N-to-N split, one dump at a time.
-
-    Each dump's total is divided evenly over the ranks (truncating, the
-    paper's even-split assumption) and pushed through
-    :meth:`StorageModel.burst_time` against the given node layout.
-    Shared by :func:`predict_sizes` and the prediction service's
-    fallback path, so both produce the same floats by construction.
-    """
-    per_rank = np.empty(nprocs, dtype=np.int64)
-    bursts = []
-    for k in range(len(step_bytes)):
-        per_rank[:] = int(step_bytes[k] / nprocs)
-        bursts.append(storage.burst_time(per_rank, node_map))
-    return np.asarray(bursts)
 
 
 def size_series(
@@ -155,7 +132,10 @@ def predict_sizes(
     (deterministic, ``variability=0`` so machines compare apples to
     apples) and the default rank packing, so the same configuration can
     be predicted on every registered machine without a single run.
-    Explicit ``storage``/``topology`` arguments still win.
+    Explicit ``storage``/``topology`` arguments still win; bursts are
+    timed by :class:`~repro.iosim.storage.EvenSplitLaw`, so a noisy
+    ``storage`` or a ``topology`` of another rank count raises a named
+    ``ValueError``.
     """
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
@@ -167,14 +147,11 @@ def predict_sizes(
     growth, source, steps = size_series(inputs, nprocs, f, growth_table, regression)
     prediction_burst = None
     if storage is not None:
-        if topology is not None:
-            topo = topology
-        elif plat is not None:
-            topo = plat.default_topology(nprocs)
-        else:
-            topo = JobTopology.summit_default(nprocs)
-        nodes = topo.node_map()  # one build, reused across all dumps
-        prediction_burst = burst_series(storage, steps, nprocs, nodes)
+        if topology is None:
+            topology = (plat.default_topology(nprocs) if plat is not None
+                        else JobTopology.summit_default(nprocs))
+        law = EvenSplitLaw(storage, nprocs, topology.node_map())
+        prediction_burst = law.burst_seconds(steps)
     return SizePrediction(
         inputs=inputs,
         nprocs=nprocs,

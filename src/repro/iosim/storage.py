@@ -37,10 +37,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .. import sanitize
+
 __all__ = [
     "StorageModel",
     "LustreStorageModel",
     "BurstBufferStorageModel",
+    "EvenSplitLaw",
     "WriteCost",
 ]
 
@@ -136,9 +139,15 @@ class StorageModel:
         node's injection bandwidth evenly; a single stream never exceeds
         ``stream_bandwidth``.  Subclasses override this to change the
         filesystem flavor while inheriting the burst/noise machinery.
+        It may read bytes only through ``active`` (:class:`EvenSplitLaw`).
         """
         concurrent = self._active_per_node(node_index, active, n_nodes)
         return np.minimum(self.stream_bandwidth, self.node_bandwidth / concurrent)
+
+    def _even_split_seconds(self, per_rank, bandwidth, occupancy):
+        """``burst_time``'s noiseless rank time, op for op, with ``per_rank``
+        bytes on each of the node's ``occupancy`` ranks."""
+        return self.metadata_latency + per_rank / bandwidth
 
     def _burst_extra_seconds(
         self, nb: np.ndarray, node_index: np.ndarray, active: np.ndarray,
@@ -325,15 +334,25 @@ class BurstBufferStorageModel(StorageModel):
                 f"drain_overlap must be in [0, 1], got {self.drain_overlap}"
             )
 
+    def _overflow_seconds(self, node_bytes: np.ndarray) -> np.ndarray:
+        """Seconds to drain the bytes of each node the buffer cannot hold."""
+        overflow = np.maximum(node_bytes - self.bb_capacity_bytes, 0.0)
+        return overflow / self.drain_bandwidth
+
     def _burst_extra_seconds(
         self, nb: np.ndarray, node_index: np.ndarray, active: np.ndarray,
         n_nodes: int,
     ) -> Optional[np.ndarray]:
         node_bytes = np.bincount(node_index, weights=nb, minlength=n_nodes)
-        overflow = np.maximum(node_bytes - self.bb_capacity_bytes, 0.0)
-        if not overflow.any():
+        drain = self._overflow_seconds(node_bytes)
+        if not drain.any():
             return None
-        return (overflow / self.drain_bandwidth)[node_index] * active
+        return drain[node_index] * active
+
+    def _even_split_seconds(self, per_rank, bandwidth, occupancy):
+        # per_rank * occupancy is the exact node total burst_time sums
+        seconds = super()._even_split_seconds(per_rank, bandwidth, occupancy)
+        return seconds + self._overflow_seconds(per_rank * occupancy)
 
     def drain_seconds(
         self,
@@ -376,3 +395,57 @@ class BurstBufferStorageModel(StorageModel):
         drain = self.drain_seconds(bytes_per_rank, node_of_rank)
         remaining = max(0.0, drain - self.drain_overlap * absorb)
         return absorb + remaining
+
+
+class EvenSplitLaw:
+    """Burst times of the even N-to-N split, ``trunc(step_bytes[k] /
+    nprocs)`` bytes on every rank, on one deterministic storage model
+    and node map.  A rank's time then depends only on its all-active
+    bandwidth and its node's occupancy, so a dump's time is the max over
+    the layout's distinct (bandwidth, occupancy) classes, computed with
+    ``burst_time``'s operations in its order: bit-identical to one
+    ``burst_time`` call per dump (0.0 for an idle dump).  Node totals
+    stay exact floats only below 2**53 bytes.
+    """
+
+    def __init__(self, storage: StorageModel, nprocs: int, node_map) -> None:
+        if storage.variability != 0.0:
+            raise ValueError(f"the even-split burst law needs variability "
+                             f"== 0, got {storage.variability}")
+        nodes = sanitize.frozen(np.array(node_map, dtype=np.int64))
+        if nprocs < 1 or nodes.shape != (nprocs,):
+            raise ValueError(f"node_map must hold one node id per rank, got "
+                             f"shape {nodes.shape} for nprocs={nprocs}")
+        self.storage, self.nprocs, self.node_map = storage, nprocs, nodes
+        node_ids, index = np.unique(nodes, return_inverse=True)
+        active = np.ones(nprocs, dtype=bool)
+        bandwidth = storage._burst_bandwidth(active, index, active, len(node_ids))
+        occupancy = np.bincount(index)[index].astype(np.float64)
+        classes = np.unique(np.column_stack((bandwidth, occupancy)), axis=0)
+        self.bandwidth, self.occupancy = map(sanitize.frozen, classes.T)
+        self._max_occupancy = occupancy.max()
+
+    def burst_seconds(self, step_bytes) -> np.ndarray:
+        """Burst seconds of each dump of a per-dump byte series."""
+        total = np.asarray(step_bytes, dtype=np.float64)
+        per_rank = np.trunc(total / self.nprocs)
+        fits = (per_rank >= 0) & (per_rank * self._max_occupancy < 2.0**53)
+        if not fits.all():
+            k = int(np.argmin(fits))
+            raise ValueError(
+                f"step_bytes[{k}] = {total[k]:.6g} does not fit the even-split "
+                f"burst law: it needs finite, non-negative dumps under 2**53 "
+                f"bytes per node (nprocs={self.nprocs}, up to "
+                f"{self._max_occupancy:.0f} ranks per node)"
+            )
+        seconds = self.storage._even_split_seconds(
+            per_rank[:, None], self.bandwidth, self.occupancy
+        )
+        out = np.where(per_rank > 0, seconds.max(axis=1), 0.0)
+        if sanitize.enabled() and per_rank.any():  # first, last busy dump
+            for k in np.unique(np.flatnonzero(per_rank)[[0, -1]]):
+                nb = np.full(self.nprocs, per_rank[k], dtype=np.int64)
+                looped = self.storage.burst_time(nb, self.node_map)
+                sanitize.check(looped == out[k], f"even-split law timed dump "
+                               f"{k} at {out[k]!r} s, burst_time {looped!r} s")
+        return out

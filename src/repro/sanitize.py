@@ -19,7 +19,9 @@ invariants at runtime —
 - the hydro kernel's ``Workspace.take`` fills every scratch view it
   hands out with NaN (``True`` for bool buffers), so a stage that reads
   scratch before writing it fails the bit-identity oracle instead of
-  passing on a stale value that happens to be right.
+  passing on a stale value that happens to be right;
+- the storage model's even-split burst law re-times the first and last
+  non-idle dump of every series through ``burst_time`` and checks both.
 
 The freeze helpers (:func:`frozen`, :func:`freeze_payload`) are safe to
 call unconditionally — freezing is a flag flip, not a copy — and some

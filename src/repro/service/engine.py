@@ -13,8 +13,8 @@ caches, and exposes two batch verbs:
     pins this for every registered platform).  The request *is* the
     cache key: repeats — across calls or within one batch — are served
     from the prediction LRU, and misses share per-``(machine, nprocs)``
-    :class:`~repro.service.plans.PlatformPlan` state plus a vectorized
-    uniform-burst evaluation instead of per-dump Python loops.
+    :class:`~repro.service.plans.PlatformPlan` state: the storage model's
+    even-split burst law, built once, timing a whole dump series.
 
 ``lookup_many(requests)``
     Cached-campaign hits from an attached
@@ -183,8 +183,7 @@ class PredictionService:
                             and clock() - now >= per_request_s):
                         raise DeadlineExceeded(
                             f"predict request {i}: request budget of "
-                            f"{per_request_s:.3f}s exhausted after "
-                            f"{clock() - now:.3f}s")
+                            f"{per_request_s:.3f}s exhausted")
                 self.n_served += 1
                 responses.append(
                     PredictResponse(i, True, prediction, cached=cached)
@@ -232,8 +231,8 @@ class PredictionService:
 
     def _predict(self, req: PredictRequest) -> SizePrediction:
         """One uncached prediction — ``predict_sizes``' own size series
-        (:func:`~repro.core.predictor.size_series`) with burst times from
-        the cached plan state (same floats)."""
+        (:func:`~repro.core.predictor.size_series`) and burst law, the
+        law cached on the plan (same floats)."""
         inputs, nprocs, machine = req.resolve()
         plan = self._plan(machine, nprocs)
         growth, source, steps = size_series(

@@ -1,45 +1,19 @@
 """Hot platform plans: everything (machine, nprocs) implies, built once.
 
-Per-call :func:`~repro.core.predictor.predict_sizes` re-resolves the
-platform, re-instantiates the storage model, rebuilds the node map, and
-calls :meth:`StorageModel.burst_time` once per dump.  A
-:class:`PlatformPlan` hoists all of that out of the request path:
-
-* the resolved :class:`~repro.platform.Platform`, its deterministic
-  storage model, the default topology, and the node map, built once and
-  cached per ``(machine, nprocs)``;
-* a **uniform-burst fast path**: the predictor's bursts split each
-  dump's bytes evenly over the ranks, so for the flavors whose
-  bandwidth law ignores the byte vector (GPFS/NVMe shared-injection and
-  striped Lustre) the per-rank effective bandwidths depend only on the
-  layout.  The plan probes them once and answers a whole dump series
-  with one vectorized expression — bit-identical to the per-dump
-  ``burst_time`` loop, which the equivalence suite pins for every
-  registered platform.
-
-Flavors with a byte-dependent extra term (the burst buffer's
-capacity-overflow drain) and unrecognized ``StorageModel`` subclasses
-fall back to :func:`~repro.core.predictor.burst_series` — the very loop
-``predict_sizes`` runs — so the fallback is identical by construction.
+Per-call :func:`~repro.core.predictor.predict_sizes` rebuilds the storage
+model, node map and even-split burst law
+(:class:`~repro.iosim.storage.EvenSplitLaw`) every call; a cached
+:class:`PlatformPlan` builds them once and evaluates the same law.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..core.predictor import burst_series
-from ..iosim.storage import LustreStorageModel, StorageModel
-from ..platform import Platform, get_platform
-from ..sanitize import frozen
+from ..iosim.storage import EvenSplitLaw
+from ..platform import get_platform
 
 __all__ = ["PlatformPlan"]
-
-# Flavors whose _burst_bandwidth provably ignores the byte vector: the
-# uniform fast path may precompute per-rank bandwidths from the layout
-# alone.  Exact types only — a subclass may change the law.
-_UNIFORM_SAFE_MODELS = (StorageModel, LustreStorageModel)
 
 
 class PlatformPlan:
@@ -48,50 +22,15 @@ class PlatformPlan:
     def __init__(self, machine: str, nprocs: int) -> None:
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        self.platform: Platform = get_platform(machine)
-        self.machine: str = self.platform.name
-        self.nprocs = nprocs
+        platform = get_platform(machine)
         # deterministic, like predict_sizes(platform=...): machines
         # compare apples to apples
-        self.storage: StorageModel = self.platform.storage_model(variability=0.0)
-        self.topology = self.platform.default_topology(nprocs)
-        # Frozen at build: plans are LRU-cached and shared across requests,
-        # so an aliasing write through a consumer must fault, not corrupt.
-        self.node_map: np.ndarray = frozen(self.topology.node_map())
-        self._uniform_bw_min: Optional[float] = None
-        if type(self.storage) in _UNIFORM_SAFE_MODELS:
-            self._uniform_bw_min = self._probe_uniform_bandwidth()
+        self.law = EvenSplitLaw(platform.storage_model(variability=0.0), nprocs,
+                                platform.default_topology(nprocs).node_map())
+        # The law's node map is read-only: plans are LRU-cached and shared
+        # across requests, so an aliasing write must fault, not corrupt.
+        self.node_map: np.ndarray = self.law.node_map
 
-    def _probe_uniform_bandwidth(self) -> float:
-        """Min per-rank bandwidth of an all-ranks-active uniform burst.
-
-        With every rank active and the bandwidth law independent of the
-        byte values, ``burst_time`` reduces to ``metadata_latency +
-        bytes / min(bw)`` — the slowest rank wins and adding the same
-        metadata term preserves the argmax.
-        """
-        nb = np.ones(self.nprocs, dtype=np.int64)
-        node_ids, node_index = np.unique(self.node_map, return_inverse=True)
-        bw = self.storage._burst_bandwidth(
-            nb, node_index, nb > 0, len(node_ids)
-        )
-        return float(bw.min())
-
-    # ------------------------------------------------------------------
     def burst_series(self, step_bytes: np.ndarray) -> np.ndarray:
-        """Burst times of a per-dump byte series, fast path when safe.
-
-        Bit-identical to looping ``storage.burst_time`` over the dumps
-        (pinned by the service equivalence suite): IEEE division is
-        monotone, so the rank at the probed minimum bandwidth is the
-        ``times.max()`` winner, and its time is computed from the same
-        operands in the same order as inside ``burst_time``.
-        """
-        if self._uniform_bw_min is None:
-            return burst_series(self.storage, step_bytes, self.nprocs, self.node_map)
-        per_rank = (np.asarray(step_bytes, dtype=np.float64) / self.nprocs).astype(
-            np.int64
-        )
-        out = self.storage.metadata_latency + per_rank / self._uniform_bw_min
-        # an all-idle burst (0 bytes/rank) is time 0.0, not bare metadata
-        return np.where(per_rank > 0, out, 0.0)
+        """Burst times of a per-dump byte series under the even split."""
+        return self.law.burst_seconds(step_bytes)

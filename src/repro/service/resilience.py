@@ -102,11 +102,11 @@ class Deadline:
         return self.budget_s is not None and self.elapsed() >= self.budget_s
 
     def check(self, label: str) -> None:
-        """Raise :class:`DeadlineExceeded` naming ``label`` if expired."""
+        """Raise :class:`DeadlineExceeded` naming ``label`` if expired (the
+        text states only the budget, so equal outcomes give equal bytes)."""
         if self.expired():
             raise DeadlineExceeded(
-                f"{label}: deadline budget of {self.budget_s:.3f}s exhausted "
-                f"after {self.elapsed():.3f}s")
+                f"{label}: deadline budget of {self.budget_s:.3f}s exhausted")
 
 
 class StoreCircuitBreaker:

@@ -160,3 +160,20 @@ class TestPlatformPlanFreezing:
         assert not plan.node_map.flags.writeable
         with pytest.raises(ValueError):
             plan.node_map[0] = 5
+
+
+class TestEvenSplitLawCrossCheck:
+    STEPS = np.asarray([0.0, 8e9, 8e13])  # idle, fitting, overflowing
+
+    def test_drifted_law_trips_against_burst_time(self, sanitized):
+        plan = PlatformPlan("burst-buffer", nprocs=8)
+        plan.burst_series(self.STEPS)  # the law and burst_time agree
+        plan.law.bandwidth = frozen(plan.law.bandwidth * 2)
+        with pytest.raises(SanitizeError, match="timed dump 1 at"):
+            plan.burst_series(self.STEPS)
+
+    def test_unsanitized_law_does_not_re_time(self, unsanitized, monkeypatch):
+        plan = PlatformPlan("burst-buffer", nprocs=8)
+        monkeypatch.setattr(plan.law.storage, "burst_time",
+                            lambda *args: pytest.fail("re-timed a dump"))
+        assert plan.burst_series(self.STEPS)[0] == 0.0

@@ -1,28 +1,59 @@
 """Pinned equivalence: the service must be bit-identical to one-shot.
 
-``PredictionService.predict_many`` takes fast paths the per-call
-predictor does not — cached platform plans, a vectorized uniform-burst
-evaluation, the prediction LRU — and every one of them must be
-invisible: for each registered platform, the batched answer equals
-:func:`repro.core.predictor.predict_sizes` float for float
-(``np.array_equal``, no tolerance).  Likewise ``lookup_many`` must
-return exactly what :meth:`ResultStore.get_for` returns."""
+``PredictionService.predict_many`` takes paths the per-call predictor
+does not — cached platform plans, the prediction LRU — and every one of
+them must be invisible: for each registered platform, the batched answer
+equals :func:`repro.core.predictor.predict_sizes` float for float
+(``np.array_equal``, no tolerance).  Both time bursts with the storage
+model's even-split law (:class:`repro.iosim.storage.EvenSplitLaw`),
+which must equal one ``burst_time`` call per dump bit for bit: the
+per-dump loop it replaced, :func:`loop_burst_series`, is the oracle.
+Likewise ``lookup_many`` must return exactly what
+:meth:`ResultStore.get_for` returns."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.cases import CASE_REGISTRY, cases_on_machines
 from repro.campaign.runner import run_campaign
 from repro.campaign.store import ResultStore
 from repro.campaign.sweep import sweep_cases
 from repro.core.interpolation import GrowthTable
-from repro.core.predictor import burst_series, predict_sizes
+from repro.core.predictor import predict_sizes
 from repro.core.regression import CaseFeatures, fit_linear_model
+from repro.iosim.storage import (
+    BurstBufferStorageModel,
+    EvenSplitLaw,
+    LustreStorageModel,
+    StorageModel,
+)
+from repro.parallel.topology import JobTopology
 from repro.platform import available_platforms, get_platform
 from repro.service import PredictionService, PredictRequest
 from repro.service.plans import PlatformPlan
 
 SCENARIOS = ("case4", "case27", "large")
+
+
+def loop_burst_series(storage, step_bytes, nprocs, node_map):
+    """The oracle: the per-dump loop the even-split law replaced,
+    verbatim.  Each dump's total is divided evenly over the ranks
+    (truncating) and timed by one ``burst_time`` call."""
+    per_rank = np.empty(nprocs, dtype=np.int64)
+    bursts = []
+    for k in range(len(step_bytes)):
+        per_rank[:] = int(step_bytes[k] / nprocs)
+        bursts.append(storage.burst_time(per_rank, node_map))
+    return np.asarray(bursts)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def reference(req: PredictRequest, **calibrations):
@@ -62,13 +93,135 @@ class TestEveryPlatform:
         assert warm.cached and warm.prediction is cold.prediction
 
     def test_plan_burst_series_matches_per_dump_loop(self, machine):
-        """The uniform fast path (or its fallback) equals looping
-        ``storage.burst_time`` dump by dump — the exact seed-path op."""
+        """The plan's law equals looping ``storage.burst_time`` dump by
+        dump — the exact seed-path op."""
         nprocs = 96
         plan = PlatformPlan(machine, nprocs)
         steps = np.asarray([0, 1, 10_000, 123_456_789, 2**40], dtype=np.float64)
-        expected = burst_series(plan.storage, steps, nprocs, plan.node_map)
-        assert np.array_equal(plan.burst_series(steps), expected)
+        expected = loop_burst_series(plan.law.storage, steps, nprocs,
+                                     plan.node_map)
+        assert_same_bits(plan.burst_series(steps), expected)
+
+    @pytest.mark.parametrize("f", [1e20, 1e308])
+    def test_unfit_series_fails_like_predict_sizes(self, machine, f):
+        """``f=1e20`` puts far over 2**53 bytes on a node and ``f=1e308``
+        makes the series infinite: both answer ``ok: false`` with the
+        named error ``predict_sizes`` raises, never zero burst times."""
+        req = PredictRequest(machine=machine, nprocs=16, steps=30, f=f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="even-split burst law") as exc:
+                reference(req)
+            resp = PredictionService().predict_one(req)
+        assert not resp.ok
+        assert resp.error == f"ValueError: {exc.value}"
+
+
+# Every registered flavor, plus two corners the registry never reaches.
+FLAVORS = {m: get_platform(m).storage_model(variability=0.0)
+           for m in available_platforms()}
+# small enough that one series mixes overflowing and fitting dumps
+FLAVORS["small-buffer"] = BurstBufferStorageModel(bb_capacity_bytes=4e9,
+                                                  drain_bandwidth=1e9)
+# 2 stripes per writer over 5 OSTs: more writers than OSTs from 3 ranks
+FLAVORS["few-osts"] = LustreStorageModel(ost_count=5, stripe_count=2)
+
+
+def max_occupancy(node_map):
+    return int(np.bincount(np.unique(node_map, return_inverse=True)[1]).max())
+
+
+@st.composite
+def layouts(draw):
+    """``(nprocs, node_map)``: block packing (often with a partial last
+    node) or arbitrary node ids."""
+    nprocs = draw(st.integers(1, 48))
+    if draw(st.booleans()):
+        nnodes = draw(st.integers(1, nprocs))
+        return nprocs, JobTopology(nprocs, nnodes).node_map()
+    ids = draw(st.lists(st.integers(0, 6), min_size=nprocs, max_size=nprocs))
+    return nprocs, np.asarray(ids)
+
+
+class TestEvenSplitLaw:
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(FLAVORS)), layout=layouts(),
+           data=st.data())
+    def test_law_is_the_per_dump_loop_bit_for_bit(self, name, layout, data):
+        nprocs, nodes = layout
+        limit = 2.0**52 / max_occupancy(nodes) * nprocs
+        dump = st.one_of(st.integers(0, 3 * nprocs).map(float),
+                         st.floats(0, limit))
+        steps = np.asarray(data.draw(st.lists(dump, max_size=12)),
+                           dtype=np.float64)
+        storage = FLAVORS[name]
+        got = EvenSplitLaw(storage, nprocs, nodes).burst_seconds(steps)
+        assert_same_bits(got, loop_burst_series(storage, steps, nprocs, nodes))
+
+    @pytest.mark.parametrize("name, nprocs, nnodes, steps", [
+        # a 4-rank node overflows 4e9 from 1e10 bytes, the 2-rank node later
+        ("small-buffer", 10, 3, np.geomspace(1e9, 1e11, 9)),
+        ("burst-buffer", 10, 3, np.geomspace(1e9, 1e16, 8)),
+        ("summit", 10, 3, np.geomspace(1.0, 1e15, 16)),  # partial last node
+        ("frontier", 1, 1, np.geomspace(1.0, 1e15, 16)),  # one rank
+        ("small-buffer", 1, 1, np.geomspace(1e8, 1e11, 7)),
+        ("workstation", 24, 1, np.asarray([0.0, 1.0, 23.0, 0.0])),  # idle
+        ("few-osts", 24, 3, np.geomspace(1e3, 1e14, 12)),
+        ("summit", 8, 4, np.zeros(0)),  # no dumps at all
+    ])
+    def test_corner(self, name, nprocs, nnodes, steps):
+        storage, nodes = FLAVORS[name], JobTopology(nprocs, nnodes).node_map()
+        law = EvenSplitLaw(storage, nprocs, nodes)
+        got = law.burst_seconds(steps)
+        assert_same_bits(got, loop_burst_series(storage, steps, nprocs, nodes))
+        assert (got[steps < nprocs] == 0.0).all()
+
+    def test_corners_reach_what_they_claim(self):
+        """The buffer series mixes overflowing and fitting dumps, and the
+        contended Lustre layout has more than one bandwidth class."""
+        nodes = JobTopology(10, 3).node_map()
+        law = EvenSplitLaw(FLAVORS["small-buffer"], 10, nodes)
+        per_rank = np.trunc(np.geomspace(1e9, 1e11, 9) / 10)
+        overflow = per_rank[:, None] * law.occupancy > 4e9
+        assert overflow.any() and not overflow.all()
+        nodes = JobTopology(24, 3).node_map()
+        assert len(EvenSplitLaw(FLAVORS["few-osts"], 24, nodes).bandwidth) > 1
+
+    def test_largest_exact_dump_is_timed_and_the_next_refused(self):
+        """2 ranks per node: 2**52 - 1 bytes per rank is 2**53 - 2 on a
+        node, still exact; 2**52 per rank reaches 2**53 and is refused."""
+        nodes = np.asarray([0, 0, 1, 1])
+        law = EvenSplitLaw(FLAVORS["small-buffer"], 4, nodes)
+        steps = np.asarray([4.0 * (2**52 - 1)])
+        assert_same_bits(law.burst_seconds(steps),
+                         loop_burst_series(law.storage, steps, 4, nodes))
+        with pytest.raises(ValueError, match="under 2\\*\\*53 bytes per node"):
+            law.burst_seconds([4.0 * 2**52])
+
+    @pytest.mark.parametrize("dump", [np.nan, np.inf, -np.inf, -8.0])
+    def test_non_finite_or_negative_dump_is_refused(self, dump):
+        law = EvenSplitLaw(StorageModel(), 4, [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="step_bytes\\[1\\] = "):
+            law.burst_seconds([1e6, dump])
+
+    def test_noisy_model_is_refused(self):
+        with pytest.raises(ValueError, match="variability == 0, got 0.2"):
+            EvenSplitLaw(StorageModel(variability=0.2), 4, [0, 0, 1, 1])
+
+    def test_node_map_of_another_length_is_refused(self):
+        with pytest.raises(ValueError, match="one node id per rank"):
+            EvenSplitLaw(StorageModel(), 4, [0, 0, 1])
+
+    def test_predict_sizes_refuses_a_topology_of_another_rank_count(self):
+        inputs = CASE_REGISTRY["case4"].inputs
+        with pytest.raises(ValueError, match="one node id per rank"):
+            predict_sizes(inputs, 8, storage=StorageModel.ideal(),
+                          topology=JobTopology(16, 2))
+
+    def test_predict_sizes_refuses_a_noisy_storage(self):
+        inputs = CASE_REGISTRY["case4"].inputs
+        with pytest.raises(ValueError, match="variability == 0"):
+            predict_sizes(inputs, 8, storage=StorageModel(variability=0.1))
 
 
 class TestCalibrations:

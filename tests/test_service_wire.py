@@ -495,6 +495,36 @@ class TestServeLinesContract:
         assert sink.writes == sink.flushes == n_batches
 
 
+class TestDeadlineText:
+    """A deadline answer states the budget, never the measured time, so
+    its bytes depend only on the outcome."""
+
+    def test_request_budget_text_is_exact(self):
+        out, _ = serve_lines(PredictionService(), [A], per_request_s=0.0)
+        assert decoded("".join(out))[0]["error"] == (
+            "DeadlineExceeded: predict request 0: request budget of "
+            "0.000s exhausted")
+
+    def test_zero_budget_stream_is_identical_on_two_services(self, store_path):
+        """Every predict miss and every lookup expires on the real clock,
+        every predict hit answers: two fresh services, the same bytes."""
+        lines = [A, B, A, L("case4"), C, L("case27"), B, D, L("case4"), E, C]
+        outputs = []
+        for _ in range(2):
+            out = io.StringIO()
+            serve_stream(PredictionService(store=ResultStore(store_path)),
+                         io.StringIO(stream(lines)), out, per_request_s=0.0)
+            outputs.append(out.getvalue().encode("utf-8"))
+        assert outputs[0] == outputs[1]
+        answers = decoded(outputs[0].decode("utf-8"))
+        assert [r["ok"] for r in answers] == [
+            False, False, True, False, False, False, True, False, False,
+            False, True]
+        assert all(r["error"].startswith("DeadlineExceeded: ")
+                   and r["error"].endswith("budget of 0.000s exhausted")
+                   for r in answers if not r["ok"])
+
+
 class TestCachedText:
     def test_held_text_is_bounded_by_the_lru(self):
         lines = [A, A, B, B, C, C, D, D, E, E, A, A, C, C]
