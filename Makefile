@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-service chaos bench bench-smoke bench-e2e perfbench-selftest bench-trace bench-dump bench-platforms bench-service bench-service-resilience bench-chaos lint docs-check ci all
+.PHONY: test test-service test-solver chaos bench bench-smoke bench-e2e perfbench-selftest bench-trace bench-dump bench-platforms bench-service bench-service-resilience bench-chaos lint docs-check ci all
 
 all: test docs-check
 
@@ -17,6 +17,14 @@ test:
 # backpressure, breaker, kill+restart-from-snapshot byte identity).
 test-service:
 	$(PYTHON) -m pytest tests/test_service.py tests/test_service_equivalence.py tests/test_service_faults.py tests/test_service_wire.py tests/test_service_chaos.py -q
+
+# Just the solver engine, under the runtime sanitizer (so every fine
+# step is also cross-checked against the dense full-mesh step): the
+# hydro stage oracles, the CastroSim tests, the box step against its
+# frozen dense oracle, and the solver_sedov benchmark's outputs at both
+# sizes.
+test-solver:
+	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_hydro_eos.py tests/test_hydro_flux_boundary.py tests/test_hydro_reconstruction.py tests/test_hydro_riemann.py tests/test_hydro_state.py tests/test_hydro_timestep_sedov.py tests/test_sim_castro.py tests/test_castro_active.py tests/test_perfbench_solver.py -q
 
 # The chaos suite with injection armed and the runtime sanitizer on:
 # fault-policy retries, supervised-pool recovery (kills, hangs, poison
@@ -99,5 +107,6 @@ lint:
 docs-check:
 	$(PYTHON) tools/docs_check.py README.md docs/ARCHITECTURE.md docs/CAMPAIGN.md docs/PLATFORMS.md docs/SERVICE.md docs/LINT.md docs/RESILIENCE.md
 
-# The one-stop regression gate: tests + lint + docs + bench harnesses.
-ci: test lint docs-check bench-smoke perfbench-selftest
+# The one-stop regression gate: tests + the sanitized solver suite +
+# lint + docs + bench harnesses.
+ci: test test-solver lint docs-check bench-smoke perfbench-selftest

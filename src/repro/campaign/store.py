@@ -43,6 +43,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 import time
 import warnings
 import zlib
@@ -316,8 +317,13 @@ class ResultStore:
         self._cursors: List[_Cursor] = []  # one per file; none in memory
         if path is None:
             return
-        if os.path.isdir(path) or not (os.path.exists(path)
-                                       or path.endswith(".jsonl")):
+        # One stat decides the layout: with two reads, a directory that
+        # another opener created between them looked like a file.
+        try:
+            is_dir = stat.S_ISDIR(os.stat(path).st_mode)
+        except FileNotFoundError:
+            is_dir = not path.endswith(".jsonl")
+        if is_dir:
             self.root = os.path.abspath(path)
             os.makedirs(self.root, exist_ok=True)
             self.nshards = _pin_meta(self.root, nshards)

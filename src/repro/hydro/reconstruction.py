@@ -1,10 +1,10 @@
-"""Piecewise-linear slope reconstruction with limiters.
+"""Piecewise-linear slope reconstruction with the minmod limiter.
 
 Castro's CTU/PPM machinery is approximated by second-order
 piecewise-linear reconstruction: limited slopes of the primitive
 variables at the old time level give the left/right interface states
-directly, with no Hancock half-step predictor.  Three classic limiters
-are provided; minmod is the default for robustness at the Sedov shock.
+directly, with no Hancock half-step predictor.  The limiter is minmod,
+for robustness at the Sedov shock.
 
 Every function takes a keyword-only :class:`~repro.hydro.workspace.Workspace`
 ``ws`` whose named buffers receive its temporaries and results (see
@@ -19,7 +19,7 @@ import numpy as np
 
 from .workspace import Workspace
 
-__all__ = ["minmod", "mc_limiter", "superbee", "limited_slopes", "interface_states", "LIMITERS"]
+__all__ = ["minmod", "limited_slopes", "interface_states"]
 
 
 def minmod(a: np.ndarray, b: np.ndarray, *, ws: Optional[Workspace] = None,
@@ -48,35 +48,6 @@ def minmod(a: np.ndarray, b: np.ndarray, *, ws: Optional[Workspace] = None,
     return out
 
 
-def _into(out: Optional[np.ndarray], result: np.ndarray) -> np.ndarray:
-    if out is None:
-        return result
-    np.copyto(out, result)
-    return out
-
-
-def mc_limiter(a: np.ndarray, b: np.ndarray, *, ws: Optional[Workspace] = None,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Monotonized-central limiter (van Leer's MC).  Arguments as for
-    :func:`minmod`; its temporaries are fresh arrays."""
-    c = 0.5 * (a + b)
-    limited = np.minimum(np.abs(c), 2.0 * np.minimum(np.abs(a), np.abs(b)))
-    return _into(out, np.where(a * b > 0.0, np.sign(c) * limited, 0.0))
-
-
-def superbee(a: np.ndarray, b: np.ndarray, *, ws: Optional[Workspace] = None,
-             out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Superbee limiter (most compressive of the three).  Arguments as
-    for :func:`minmod`; its temporaries are fresh arrays."""
-    s1 = minmod(2.0 * a, b)
-    s2 = minmod(a, 2.0 * b)
-    pick = np.where(np.abs(s1) > np.abs(s2), s1, s2)
-    return _into(out, np.where(a * b > 0.0, pick, 0.0))
-
-
-LIMITERS = {"minmod": minmod, "mc": mc_limiter, "superbee": superbee}
-
-
 def _along(ndim: int, axis: int, sl: slice) -> tuple:
     """Index tuple selecting ``sl`` along ``axis`` of an ``ndim`` array."""
     idx = [slice(None)] * ndim
@@ -95,7 +66,7 @@ def _grid_axis(W: np.ndarray, axis: int) -> int:
     return ax
 
 
-def limited_slopes(W: np.ndarray, axis: int, limiter: str = "minmod", *,
+def limited_slopes(W: np.ndarray, axis: int, *,
                    ws: Optional[Workspace] = None) -> np.ndarray:
     """Limited slope per cell along a grid ``axis`` of a (4, ...) array.
 
@@ -104,10 +75,6 @@ def limited_slopes(W: np.ndarray, axis: int, limiter: str = "minmod", *,
     of a patch).  The outermost cells get zero slope (they only feed
     ghost regions).  The result is ``ws``'s ``"dW"`` buffer.
     """
-    try:
-        lim = LIMITERS[limiter]
-    except KeyError:
-        raise ValueError(f"unknown limiter {limiter!r}; choose from {sorted(LIMITERS)}") from None
     ws = Workspace() if ws is None else ws
     ax = _grid_axis(W, axis)
     n = W.shape[ax]
@@ -122,12 +89,11 @@ def limited_slopes(W: np.ndarray, axis: int, limiter: str = "minmod", *,
     # W[k] - W[k-1] is cell k-1's forward one.
     diff = ws.take("slopes.diff", W[along(1, None)].shape)
     np.subtract(W[along(1, None)], W[along(None, -1)], out=diff)
-    lim(diff[along(None, -1)], diff[along(1, None)], ws=ws, out=dW[along(1, -1)])
+    minmod(diff[along(None, -1)], diff[along(1, None)], ws=ws, out=dW[along(1, -1)])
     return dW
 
 
-def interface_states(W: np.ndarray, axis: int, limiter: str = "minmod", *,
-                     ws: Optional[Workspace] = None):
+def interface_states(W: np.ndarray, axis: int, *, ws: Optional[Workspace] = None):
     """Left/right states at interfaces normal to ``axis``.
 
     For ``n`` cells along the axis there are ``n - 1`` interior
@@ -136,7 +102,7 @@ def interface_states(W: np.ndarray, axis: int, limiter: str = "minmod", *,
     The results are ``ws``'s ``"WL"`` and ``"WR"`` buffers.
     """
     ws = Workspace() if ws is None else ws
-    dW = limited_slopes(W, axis, limiter, ws=ws)
+    dW = limited_slopes(W, axis, ws=ws)
     ax = _grid_axis(W, axis)
     lo = _along(W.ndim, ax, slice(None, -1))
     hi = _along(W.ndim, ax, slice(1, None))

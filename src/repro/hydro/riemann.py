@@ -1,9 +1,11 @@
-"""Approximate Riemann solvers: HLL and HLLC.
+"""Approximate Riemann solvers: HLLC, and HLL as its baseline.
 
 Castro defaults to a full two-shock solver; HLLC captures the same wave
 families (two acoustic waves + contact) and is standard for Sedov-type
-blast problems.  Both solvers operate on primitive left/right states of
-shape (4, ...).
+blast problems.  It is the kernel's solver.  The two-wave HLL flux,
+which smears the contact, stays as the more diffusive baseline HLLC is
+checked against; no run calls it.  Both operate on primitive left/right
+states of shape (4, ...).
 
 The *normal*/*transverse* velocity components are parameters
 ``(iu, iv)`` rather than hardwired to ``(QU, QV)``: the flux driver
@@ -79,8 +81,8 @@ def hll_flux(
 ) -> np.ndarray:
     """Two-wave HLL flux.
 
-    Takes ``ws`` for the solver signature :func:`advance_patch` calls
-    with; its temporaries and result are fresh arrays.
+    Takes the same arguments as :func:`hllc_flux`; ``ws`` is accepted
+    and unused, since the temporaries and the result are fresh arrays.
     """
     FL = euler_flux(WL, eos, iu, iv)
     FR = euler_flux(WR, eos, iu, iv)
@@ -215,4 +217,6 @@ def hllc_flux(
     return F
 
 
-RIEMANN_SOLVERS = {"hll": hll_flux, "hllc": hllc_flux}
+# The kernel looks its solver up in this table at call time, so a
+# profiler can wrap the entry without touching the kernel.
+RIEMANN_SOLVERS = {"hllc": hllc_flux}

@@ -21,7 +21,12 @@ invariants at runtime —
   scratch before writing it fails the bit-identity oracle instead of
   passing on a stale value that happens to be right;
 - the storage model's even-split burst law re-times the first and last
-  non-idle dump of every series through ``burst_time`` and checks both.
+  non-idle dump of every series through ``burst_time`` and checks both;
+- every ``CastroSim`` fine step, which advances only the box where the
+  mesh is not uniform, rescans the whole ghosted array and checks that
+  its scan window's box contains the box that scan finds, and runs the
+  dense full-mesh step beside it (second workspace) and checks that the
+  CFL values and the whole valid state agree bit for bit.
 
 The freeze helpers (:func:`frozen`, :func:`freeze_payload`) are safe to
 call unconditionally — freezing is a flag flip, not a copy — and some

@@ -7,12 +7,14 @@ every ``plot_int`` coarse steps (plus step 0), recording every file into
 an I/O trace.
 
 Solver strategy (docs/ARCHITECTURE.md, "The engine duality"): the flow
-field is advanced on a dense uniform grid at the *finest* resolution
-(``n_cell * ref_ratio^max_level``) with proper fine-CFL substeps —
-``ref_ratio^max_level`` fine steps per coarse step, Castro's effective
-subcycling cadence.  The
-AMR hierarchy (tagging -> clustering -> grids -> distribution) is built
-from that solution and fully determines the quantity the paper measures:
+field lives on one uniform grid at the *finest* resolution
+(``n_cell * ref_ratio^max_level``) and advances with proper fine-CFL
+substeps — ``ref_ratio^max_level`` fine steps per coarse step, Castro's
+effective subcycling cadence.  Each step runs the kernel only on the box
+where the mesh is not uniform, which is where the blast is; every other
+cell would get an update of exactly zero.  The AMR hierarchy (tagging ->
+clustering -> grids -> distribution) is built from that solution and
+fully determines the quantity the paper measures:
 bytes per (timestep, level, task).  This keeps the physics honest where
 it matters for I/O (where the refined boxes are) at tractable cost; the
 paper-scale meshes use :mod:`repro.workload` instead.
@@ -25,13 +27,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import sanitize
 from ..amr.boxarray import BoxArray
 from ..amr.hierarchy import AmrHierarchy, AmrParams
 from ..amr.interp import restrict_average
 from ..amr.tagging import TagCriteria, tag_gradient
 from ..hydro.boundary import BC, apply_boundary
 from ..hydro.eos import GammaLawEOS
-from ..hydro.flux import NGHOST_REQUIRED, advance_patch
+from ..hydro.flux import NGHOST_REQUIRED, active_box, advance_patch
 from ..hydro.sedov import SedovProblem
 from ..hydro.state import NCOMP, QP, URHO, cons_to_prim
 from ..hydro.timestep import TimestepController, cfl_timestep
@@ -127,6 +130,11 @@ class CastroSim:
         self._U = self._initialize_state()
         # Scratch for the fine steps: sized by the first, reused by all.
         self._ws = Workspace()
+        # Rows and columns (r0, r1, c0, c1) of _U that hold every
+        # neighbour pair whose bits differ; None until the first fine
+        # step scans the whole array.  Only _fine_advance_once writes
+        # _U, and it narrows this window after each step (_scan_after).
+        self._scan: Optional[Tuple[int, int, int, int]] = None
         self._tc = TimestepController(
             cfl=inp.cfl, init_shrink=inp.init_shrink, change_max=inp.change_max
         )
@@ -189,20 +197,93 @@ class CastroSim:
     def _fine_advance_once(self) -> float:
         """One fine step; returns the dt taken.
 
-        The primitives are computed once, over the ghosted patch, and
-        feed both the CFL step and the kernel.  Filling the ghosts
-        first leaves the valid cells' primitives what they were.
+        The kernel runs only on the box :func:`active_box` finds once
+        the ghosts are filled; every cell outside it would get an update
+        of exactly zero.  The primitives are computed once, over the box
+        and its ghost layers, and feed both the CFL step and the kernel.
+        The CFL max over the box's valid cells is the max over the mesh:
+        each uniform region outside the box also covers part of the
+        box's margin, and a max is exact in any order.  A mesh with no
+        differing pair skips the kernel and takes the step from one cell.
         """
         g = self._g
         inp = self.inputs
-        apply_boundary(self._U, g, inp.lo_bc, inp.hi_bc)
-        W = cons_to_prim(self._U, self.eos, ws=self._ws)
+        U = self._U
+        apply_boundary(U, g, inp.lo_bc, inp.hi_bc)
+        box = active_box(U, g, within=self._scan)
+        i0, i1, j0, j1 = (g, g + 1, g, g + 1) if box is None else box
+        patch = U[:, i0 - g : i1 + g, j0 - g : j1 + g]
+        W = cons_to_prim(patch, self.eos, ws=self._ws)
         dx, dy = self._fine_geom.cell_size
-        dt = self._tc.next_dt(cfl_timestep(W[:, g:-g, g:-g], dx, dy, inp.cfl, self.eos))
-        self._U[:, g:-g, g:-g] = advance_patch(
-            self._U, dt, dx, dy, self.eos, nghost=g, W=W, ws=self._ws
-        )
+        dt_cfl = cfl_timestep(W[:, g:-g, g:-g], dx, dy, inp.cfl, self.eos)
+        dt = self._tc.next_dt(dt_cfl)
+        dense = self._dense_step(box, dt_cfl, dt) if sanitize.enabled() else None
+        if box is not None:
+            U[:, i0:i1, j0:j1] = advance_patch(
+                patch, dt, dx, dy, self.eos, nghost=g, W=W, ws=self._ws
+            )
+        if dense is not None:
+            sanitize.check(
+                np.array_equal(U[:, g:-g, g:-g].view(np.uint64), dense.view(np.uint64)),
+                f"coarse step {self.step}: box {box} step differs from the dense step",
+            )
+        self._scan = self._scan_after(box)
         return dt
+
+    def _scan_after(self, box: Optional[Tuple[int, int, int, int]]) -> Tuple[int, int, int, int]:
+        """The window the next fine step scans, after one that wrote ``box``.
+
+        A pair that differs at the next scan either differed at this one
+        (it lies within ``g`` of the box, which is this scan's touched
+        cells grown by ``g``), touches a cell the kernel wrote, or
+        touches a ghost that ``apply_boundary`` refilled from a written
+        cell.  Those sources lie within ``g`` of a wall, so a box that
+        close has its window reach that edge.  The box grown by
+        ``2g + 1``, taken out to any edge it comes within ``3g`` of,
+        holds them all.  No box: nothing was written and nothing differs.
+        """
+        if box is None:
+            return (0, 0, 0, 0)
+        g = self._g
+        X, Y = self._U.shape[-2:]
+        grow = 2 * g + 1
+        r0, r1, c0, c1 = box[0] - grow, box[1] + grow, box[2] - grow, box[3] + grow
+        return (
+            0 if r0 <= 3 * g else r0,
+            X if r1 >= X - 3 * g else r1,
+            0 if c0 <= 3 * g else c0,
+            Y if c1 >= Y - 3 * g else c1,
+        )
+
+    def _dense_step(
+        self, box: Optional[Tuple[int, int, int, int]], dt_cfl: float, dt: float
+    ) -> np.ndarray:
+        """The sanitizer's cross-check of one fine step, before it writes.
+
+        Rescans the whole ghosted array and checks that ``box`` contains
+        the box that scan finds, checks ``dt_cfl`` against the full-mesh
+        CFL value bit for bit, and returns the dense full-mesh kernel's
+        result for the valid cells.  It uses a workspace of its own: the
+        step's primitives and result live in ``self._ws``.
+        """
+        g = self._g
+        U = self._U
+        full = active_box(U, g)
+        sanitize.check(
+            full is None
+            or (box is not None and box[0] <= full[0] and full[1] <= box[1]
+                and box[2] <= full[2] and full[3] <= box[3]),
+            f"coarse step {self.step}: the scan window found box {box}, a full scan {full}",
+        )
+        ws = Workspace()
+        W = cons_to_prim(U, self.eos, ws=ws)
+        dx, dy = self._fine_geom.cell_size
+        full_cfl = cfl_timestep(W[:, g:-g, g:-g], dx, dy, self.inputs.cfl, self.eos)
+        sanitize.check(
+            full_cfl.hex() == dt_cfl.hex(),
+            f"coarse step {self.step}: box CFL step {dt_cfl!r}, full-mesh {full_cfl!r}",
+        )
+        return advance_patch(U, dt, dx, dy, self.eos, nghost=g, W=W, ws=ws)
 
     def advance_coarse_step(self) -> float:
         """One coarse step = ref_ratio^max_level fine substeps."""

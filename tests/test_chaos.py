@@ -436,6 +436,31 @@ class TestStoreLayouts:
         expected = ["new"] if existing is None else ["new", "old"]
         assert sorted(ResultStore(path).keys()) == expected
 
+    def test_directory_created_while_the_layout_is_chosen(self, tmp_path,
+                                                          monkeypatch):
+        """Another process creates the new shard directory right after
+        this opener first looks at the path."""
+        path = str(tmp_path / "shards")
+        real_stat = os.stat
+        looked = []
+
+        def racing_stat(target, *args, **kwargs):
+            if os.fspath(target) != path or looked:
+                return real_stat(target, *args, **kwargs)
+            looked.append(target)
+            try:
+                return real_stat(target, *args, **kwargs)
+            finally:
+                os.makedirs(path)  # the other process's makedirs lands
+
+        monkeypatch.setattr(os, "stat", racing_stat)
+        store = ResultStore(path)
+        monkeypatch.undo()
+        assert looked
+        store.put("k", _mk_record("k"))
+        assert store.root == os.path.abspath(path)
+        assert ResultStore(path).keys() == ["k"]
+
     @pytest.mark.parametrize("fault", ["short-write", "fsync-error"])
     @pytest.mark.parametrize("name", LAYOUTS)
     def test_failed_append_is_rolled_back_and_raised(

@@ -14,14 +14,7 @@ from repro.amr.geometry import Geometry
 from repro.hydro.boundary import BC, apply_boundary
 from repro.hydro.eos import GammaLawEOS
 from repro.hydro.flux import NGHOST_REQUIRED, advance_patch
-from repro.hydro.reconstruction import (
-    LIMITERS,
-    interface_states,
-    limited_slopes,
-    mc_limiter,
-    minmod,
-    superbee,
-)
+from repro.hydro.reconstruction import interface_states, limited_slopes, minmod
 from repro.hydro.riemann import (
     RIEMANN_SOLVERS,
     euler_flux,
@@ -108,22 +101,6 @@ def ref_minmod(a, b):
     return np.where(a * b > 0.0, out, 0.0)
 
 
-def ref_mc_limiter(a, b):
-    c = 0.5 * (a + b)
-    limited = np.minimum(np.abs(c), 2.0 * np.minimum(np.abs(a), np.abs(b)))
-    return np.where(a * b > 0.0, np.sign(c) * limited, 0.0)
-
-
-def ref_superbee(a, b):
-    s1 = ref_minmod(2.0 * a, b)
-    s2 = ref_minmod(a, 2.0 * b)
-    pick = np.where(np.abs(s1) > np.abs(s2), s1, s2)
-    return np.where(a * b > 0.0, pick, 0.0)
-
-
-REF_LIMITERS = {"minmod": ref_minmod, "mc": ref_mc_limiter, "superbee": ref_superbee}
-
-
 def _along(ndim, axis, sl):
     idx = [slice(None)] * ndim
     idx[axis] = sl
@@ -131,19 +108,18 @@ def _along(ndim, axis, sl):
 
 
 # limited_slopes/interface_states without their argument checks
-def ref_limited_slopes(W, axis, limiter="minmod"):
-    lim = REF_LIMITERS[limiter]
+def ref_limited_slopes(W, axis):
     ax = axis + W.ndim if axis < 0 else axis
     mid = _along(W.ndim, ax, slice(1, -1))
     lo = _along(W.ndim, ax, slice(None, -2))
     hi = _along(W.ndim, ax, slice(2, None))
     dW = np.zeros_like(W)
-    dW[mid] = lim(W[mid] - W[lo], W[hi] - W[mid])
+    dW[mid] = ref_minmod(W[mid] - W[lo], W[hi] - W[mid])
     return dW
 
 
-def ref_interface_states(W, axis, limiter="minmod"):
-    dW = ref_limited_slopes(W, axis, limiter)
+def ref_interface_states(W, axis):
+    dW = ref_limited_slopes(W, axis)
     ax = axis + W.ndim if axis < 0 else axis
     lo = _along(W.ndim, ax, slice(None, -1))
     hi = _along(W.ndim, ax, slice(1, None))
@@ -237,9 +213,6 @@ def ref_hllc_flux(WL, WR, eos, iu=QU, iv=QV):
     return F
 
 
-REF_SOLVERS = {"hll": ref_hll_flux, "hllc": ref_hllc_flux}
-
-
 # ----------------------------------------------------------------------
 # The rotated y-flux kernel, verbatim (rotation copies and all): the
 # workspace advance_patch's direct (iu, iv) = (QV, QU) y-flux is pinned to.
@@ -258,18 +231,18 @@ def _swap_uv_flux(F):
     return Fr
 
 
-def reference_advance_patch(U, dt, dx, dy, eos, nghost=2, riemann="hllc", limiter="minmod"):
-    solver = REF_SOLVERS[riemann]
+def reference_advance_patch(U, dt, dx, dy, eos, nghost=2):
+    solver = ref_hllc_flux
     g = nghost
     W = ref_cons_to_prim(U, eos)
     Wx = W[:, g - 2 : U.shape[1] - (g - 2), g : U.shape[2] - g]
-    WLx, WRx = ref_interface_states(Wx, axis=1, limiter=limiter)
+    WLx, WRx = ref_interface_states(Wx, axis=1)
     Fx = solver(WLx, WRx, eos)
     nx = U.shape[1] - 2 * g
     ny = U.shape[2] - 2 * g
     Fx_valid = Fx[:, 1 : nx + 2, :]
     Wy = W[:, g : U.shape[1] - g, g - 2 : U.shape[2] - (g - 2)]
-    WLy, WRy = ref_interface_states(Wy, axis=2, limiter=limiter)
+    WLy, WRy = ref_interface_states(Wy, axis=2)
     Gy = solver(_swap_uv(WLy), _swap_uv(WRy), eos)
     Gy = _swap_uv_flux(Gy)
     Gy_valid = Gy[:, :, 1 : ny + 2]
@@ -318,11 +291,6 @@ class TestAdvancePatch:
         with pytest.raises(ValueError, match="W has shape"):
             advance_patch(U, 1e-3, 0.1, 0.1, EOS, W=cons_to_prim(U[:, 1:], EOS))
 
-    def test_unknown_riemann(self):
-        U = uniform_patch(4, 4)
-        with pytest.raises(ValueError, match="unknown riemann"):
-            advance_patch(U, 1e-3, 0.1, 0.1, EOS, riemann="roe")
-
     def test_conservation_with_periodic_ghosts(self):
         """With ghost cells consistent (wrap-around), interior sums of
         conserved quantities change only by boundary fluxes; for a
@@ -365,10 +333,15 @@ class TestAdvancePatch:
         assert np.allclose(Unew[URHO], Unew[URHO].T, rtol=1e-10)
 
 
+# The ids of the tests that pin the whole kernel, or its slopes, name
+# what they pin: minmod slopes and HLLC fluxes.
+KERNEL = pytest.mark.parametrize("limiter,riemann", [("minmod", "hllc")])
+MINMOD = pytest.mark.parametrize("limiter", ["minmod"])
+
+
 class TestRotatedYFlux:
-    @pytest.mark.parametrize("riemann", sorted(RIEMANN_SOLVERS))
-    @pytest.mark.parametrize("limiter", ["minmod", "mc", "superbee"])
-    def test_advance_patch_bit_identical(self, riemann, limiter):
+    @KERNEL
+    def test_advance_patch_bit_identical(self, limiter, riemann):
         geom, U = sedov_patch()
         U_ref = U.copy()
         dx, dy = geom.cell_size
@@ -376,10 +349,8 @@ class TestRotatedYFlux:
             apply_boundary(U, G)
             apply_boundary(U_ref, G)
             dt = cfl_timestep(cons_to_prim(U[:, G:-G, G:-G], EOS), dx, dy, 0.5, EOS)
-            U[:, G:-G, G:-G] = advance_patch(
-                U, dt, dx, dy, EOS, riemann=riemann, limiter=limiter)
-            U_ref[:, G:-G, G:-G] = reference_advance_patch(
-                U_ref, dt, dx, dy, EOS, riemann=riemann, limiter=limiter)
+            U[:, G:-G, G:-G] = advance_patch(U, dt, dx, dy, EOS)
+            U_ref[:, G:-G, G:-G] = reference_advance_patch(U_ref, dt, dx, dy, EOS)
             assert bits(U) == bits(U_ref), f"{riemann}/{limiter}"
         # the blast has set the gas moving, and not symmetrically in x/y,
         # so the y-pass really read distinct normal/transverse velocities
@@ -387,7 +358,7 @@ class TestRotatedYFlux:
         assert not np.array_equal(U[UMX], U[UMY].T)
 
 
-def run_against_oracle(shape, riemann, limiter, ws, steps=3):
+def run_against_oracle(shape, ws, steps=3):
     """``steps`` CastroSim-style steps of the workspace kernel on one
     persistent ``ws`` next to the oracle; every step bit-identical."""
     geom, U = sedov_patch(shape[0], ny=shape[1])
@@ -400,22 +371,19 @@ def run_against_oracle(shape, riemann, limiter, ws, steps=3):
         # alternate the caller-computed primitives (CastroSim's path)
         # with advance_patch converting them itself
         W = cons_to_prim(U, EOS, ws=ws) if step % 2 == 0 else None
-        U[:, G:-G, G:-G] = advance_patch(
-            U, dt, dx, dy, EOS, riemann=riemann, limiter=limiter, W=W, ws=ws)
-        U_ref[:, G:-G, G:-G] = reference_advance_patch(
-            U_ref, dt, dx, dy, REF_EOS, riemann=riemann, limiter=limiter)
-        assert bits(U) == bits(U_ref), f"{shape} {riemann}/{limiter} step {step}"
+        U[:, G:-G, G:-G] = advance_patch(U, dt, dx, dy, EOS, W=W, ws=ws)
+        U_ref[:, G:-G, G:-G] = reference_advance_patch(U_ref, dt, dx, dy, REF_EOS)
+        assert bits(U) == bits(U_ref), f"{shape} step {step}"
     return U
 
 
 class TestWorkspaceKernel:
     @pytest.mark.parametrize("shape", [(24, 24), (24, 40)])
-    @pytest.mark.parametrize("riemann", sorted(RIEMANN_SOLVERS))
-    @pytest.mark.parametrize("limiter", sorted(LIMITERS))
-    def test_persistent_workspace_matches_oracle(self, shape, riemann, limiter):
+    @KERNEL
+    def test_persistent_workspace_matches_oracle(self, shape, limiter, riemann):
         # the non-square patch has x faces (27, 40) and y faces (24, 43):
         # the two sweeps reuse each named buffer at different shapes
-        U = run_against_oracle(shape, riemann, limiter, Workspace())
+        U = run_against_oracle(shape, Workspace())
         assert np.isfinite(U).all()
 
     def test_poisoned_workspace_matches_oracle(self, monkeypatch):
@@ -425,9 +393,7 @@ class TestWorkspaceKernel:
         ws = Workspace()
         assert np.isnan(ws.take("probe", (3, 2))).all()
         assert ws.take("probe_mask", (5,), np.bool_).all()
-        for riemann in sorted(RIEMANN_SOLVERS):
-            for limiter in sorted(LIMITERS):
-                run_against_oracle((24, 40), riemann, limiter, ws)
+        run_against_oracle((24, 40), ws)
 
     @pytest.mark.parametrize("with_ws", [False, True])
     def test_advance_patch_leaves_U_unchanged(self, with_ws):
@@ -435,9 +401,8 @@ class TestWorkspaceKernel:
         apply_boundary(U, G)
         before = bits(U)
         ws = Workspace() if with_ws else None
-        for riemann in sorted(RIEMANN_SOLVERS):
-            advance_patch(U, 1e-4, 0.05, 0.05, EOS, riemann=riemann, ws=ws)
-            assert bits(U) == before
+        advance_patch(U, 1e-4, 0.05, 0.05, EOS, ws=ws)
+        assert bits(U) == before
 
     def test_result_lives_in_the_workspace(self):
         _, U = sedov_patch(8, ny=12)
@@ -526,7 +491,7 @@ def conserved_lanes():
 
 
 def limiter_pairs():
-    """All pairs of slope candidates from values that hit each limiter
+    """All pairs of slope candidates from values that hit each minmod
     branch: signs, signed zeros, under/overflowing products, NaN, inf."""
     vals = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e-200, -1e-200,
                      1e200, NAN, INF, -INF])
@@ -627,9 +592,8 @@ class TestStagesMatchOracle:
             assert bits(cons_to_prim(U3, EOS, ws=workspace)) == bits(
                 ref_cons_to_prim(U3, REF_EOS))
 
-    @pytest.mark.parametrize("name", sorted(LIMITERS))
-    def test_limiters(self, name, workspace):
-        new, ref = LIMITERS[name], REF_LIMITERS[name]
+    @pytest.mark.parametrize("new,ref", [(minmod, ref_minmod)], ids=["minmod"])
+    def test_limiters(self, new, ref, workspace):
         a, b = limiter_pairs()
         with np.errstate(all="ignore"):
             want = bits(ref(a, b))
@@ -639,14 +603,14 @@ class TestStagesMatchOracle:
             assert bits(out) == want
 
     @pytest.mark.parametrize("axis", [1, 2, -1, -2])
-    @pytest.mark.parametrize("limiter", sorted(LIMITERS))
+    @MINMOD
     def test_slopes_and_interface_states(self, axis, limiter, workspace):
         W = slope_field()
         with np.errstate(all="ignore"):
-            assert bits(limited_slopes(W, axis, limiter, ws=workspace)) == bits(
-                ref_limited_slopes(W, axis, limiter))
-            WL, WR = interface_states(W, axis, limiter, ws=workspace)
-            rWL, rWR = ref_interface_states(W, axis, limiter)
+            assert bits(limited_slopes(W, axis, ws=workspace)) == bits(
+                ref_limited_slopes(W, axis))
+            WL, WR = interface_states(W, axis, ws=workspace)
+            rWL, rWR = ref_interface_states(W, axis)
         assert bits(WL) == bits(rWL)
         assert bits(WR) == bits(rWR)
 
@@ -670,9 +634,11 @@ class TestStagesMatchOracle:
         assert bits(SR) == bits(rSR)
 
     @DIRECTIONS
-    @pytest.mark.parametrize("name", sorted(RIEMANN_SOLVERS))
+    @pytest.mark.parametrize("name", ["hll", "hllc"])
     def test_riemann_solvers(self, name, iu, iv, workspace):
-        new, ref = RIEMANN_SOLVERS[name], REF_SOLVERS[name]
+        # the kernel's solver through its table, and the HLL baseline
+        new, ref = {"hll": (hll_flux, ref_hll_flux),
+                    "hllc": (RIEMANN_SOLVERS["hllc"], ref_hllc_flux)}[name]
         WL, WR = riemann_lanes()
         with np.errstate(all="ignore"):
             got = new(WL, WR, EOS, iu, iv, ws=workspace)

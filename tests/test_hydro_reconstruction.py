@@ -1,4 +1,4 @@
-"""Tests for slope limiters and interface reconstruction."""
+"""Tests for the minmod limiter and interface reconstruction."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.hydro.reconstruction import (
-    LIMITERS,
-    interface_states,
-    limited_slopes,
-    mc_limiter,
-    minmod,
-    superbee,
-)
+from repro.hydro.reconstruction import interface_states, limited_slopes, minmod
 
 
 class TestMinmod:
@@ -28,28 +21,6 @@ class TestMinmod:
         assert minmod(np.array([0.0]), np.array([5.0]))[0] == 0.0
 
 
-class TestMC:
-    def test_smooth_gives_central(self):
-        # a = b = 1 -> central = 1, bound 2*1 => 1
-        assert mc_limiter(np.array([1.0]), np.array([1.0]))[0] == 1.0
-
-    def test_bounded_by_2x(self):
-        assert mc_limiter(np.array([1.0]), np.array([10.0]))[0] == 2.0
-
-    def test_extremum_zero(self):
-        assert mc_limiter(np.array([1.0]), np.array([-1.0]))[0] == 0.0
-
-
-class TestSuperbee:
-    def test_extremum_zero(self):
-        assert superbee(np.array([3.0]), np.array([-2.0]))[0] == 0.0
-
-    def test_compressive(self):
-        # superbee >= minmod in magnitude for same-sign inputs
-        a, b = np.array([1.0]), np.array([3.0])
-        assert abs(superbee(a, b)[0]) >= abs(minmod(a, b)[0])
-
-
 class TestSlopes:
     def test_constant_zero_slope(self):
         W = np.full((4, 8, 8), 2.0)
@@ -62,10 +33,6 @@ class TestSlopes:
         dW = limited_slopes(W, axis=1)
         assert np.allclose(dW[0, 1:-1, :], 3.0)
         assert np.allclose(dW[0, 0, :], 0.0)  # edge zeroed
-
-    def test_unknown_limiter(self):
-        with pytest.raises(ValueError, match="unknown limiter"):
-            limited_slopes(np.zeros((1, 4, 4)), 1, limiter="vanalbada")
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
@@ -90,20 +57,18 @@ class TestInterfaceStates:
         """For a linear profile, WL == WR at interior interfaces."""
         W = np.zeros((1, 10, 4))
         W[0] = np.arange(10)[:, None] * 2.0
-        WL, WR = interface_states(W, axis=1, limiter="mc")
+        WL, WR = interface_states(W, axis=1)
         # interfaces away from the zero-slope edge cells
         assert np.allclose(WL[0, 2:-2, :], WR[0, 2:-2, :])
 
 
 @settings(max_examples=40, deadline=None)
 @given(arrays(np.float64, (6,), elements=st.floats(-100, 100)),
-       arrays(np.float64, (6,), elements=st.floats(-100, 100)),
-       st.sampled_from(["minmod", "mc", "superbee"]))
-def test_limiter_tvd_property(a, b, name):
-    """All limiters: result sign matches inputs, bounded by 2*min(|a|,|b|),
+       arrays(np.float64, (6,), elements=st.floats(-100, 100)))
+def test_limiter_tvd_property(a, b):
+    """Minmod: result sign matches inputs, bounded by 2*min(|a|,|b|),
     zero at extrema."""
-    lim = LIMITERS[name]
-    out = lim(a, b)
+    out = minmod(a, b)
     opposite = a * b <= 0
     assert np.allclose(out[opposite], 0.0)
     same = ~opposite
