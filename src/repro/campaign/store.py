@@ -518,12 +518,6 @@ class ResultStore:
         migration unit between the two layouts."""
         return list(self._foreign.values()) + list(self._entries.values())
 
-    def put_for(self, case: Case, record: RunRecord, seconds: float = 0.0,
-                extra: Optional[Dict] = None) -> str:
-        key = self.key_for(case, extra)
-        self.put(key, record, seconds)
-        return key
-
     def invalidate(self, key: str) -> bool:
         """Drop one entry (returns whether it existed); compacts the files."""
         existed = self._entries.pop(key, None) is not None

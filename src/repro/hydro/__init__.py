@@ -1,19 +1,19 @@
 """Castro-like compressible hydrodynamics on AMR patches.
 
 2-D gamma-law Euler equations with one kernel: piecewise-linear minmod
-slopes at the old time level, the HLLC Riemann solver (HLL stays as
-its baseline) and a dimensionally unsplit forward-Euler update, all
-writing into a reusable :class:`Workspace`, with :func:`active_box`
-bounding the cells it can change; Castro's CFL/init_shrink/change_max
-timestep control, outflow/symmetry boundaries, and the Sedov blast
-problem with its Sedov–Taylor self-similar analytic solution.
+slopes at the old time level, the HLLC Riemann solver and a
+dimensionally unsplit forward-Euler update, all writing into a reusable
+:class:`Workspace`, with :func:`active_box` bounding the cells it can
+change; Castro's CFL/init_shrink/change_max timestep control,
+outflow/symmetry boundaries, and the Sedov blast problem with its
+Sedov–Taylor self-similar analytic solution.
 """
 
 from .boundary import BC, apply_boundary
 from .eos import GammaLawEOS
 from .flux import NGHOST_REQUIRED, active_box, advance_patch
 from .reconstruction import interface_states, limited_slopes, minmod
-from .riemann import RIEMANN_SOLVERS, euler_flux, hll_flux, hllc_flux, wave_speed_estimates
+from .riemann import RIEMANN_SOLVERS, euler_flux, hllc_flux, wave_speed_estimates
 from .sedov import (
     SEDOV_XI0_2D,
     SedovProblem,
@@ -49,7 +49,6 @@ __all__ = [
     "minmod",
     "RIEMANN_SOLVERS",
     "euler_flux",
-    "hll_flux",
     "hllc_flux",
     "wave_speed_estimates",
     "SEDOV_XI0_2D",

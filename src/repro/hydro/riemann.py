@@ -1,11 +1,9 @@
-"""Approximate Riemann solvers: HLLC, and HLL as its baseline.
+"""The HLLC approximate Riemann solver.
 
 Castro defaults to a full two-shock solver; HLLC captures the same wave
 families (two acoustic waves + contact) and is standard for Sedov-type
-blast problems.  It is the kernel's solver.  The two-wave HLL flux,
-which smears the contact, stays as the more diffusive baseline HLLC is
-checked against; no run calls it.  Both operate on primitive left/right
-states of shape (4, ...).
+blast problems.  It is the kernel's solver.  It operates on primitive
+left/right states of shape (4, ...).
 
 The *normal*/*transverse* velocity components are parameters
 ``(iu, iv)`` rather than hardwired to ``(QU, QV)``: the flux driver
@@ -25,10 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .eos import GammaLawEOS
-from .state import QP, QRHO, QU, QV, UEDEN, URHO, prim_to_cons
+from .state import QP, QRHO, QU, QV, UEDEN, URHO
 from .workspace import Workspace
 
-__all__ = ["euler_flux", "hll_flux", "hllc_flux", "wave_speed_estimates", "RIEMANN_SOLVERS"]
+__all__ = ["euler_flux", "hllc_flux", "wave_speed_estimates", "RIEMANN_SOLVERS"]
 
 
 def euler_flux(
@@ -73,29 +71,6 @@ def wave_speed_estimates(WL: np.ndarray, WR: np.ndarray, eos: GammaLawEOS, iu: i
     np.add(WR[iu], cR, out=cR)
     np.maximum(SR, cR, out=SR)
     return SL, SR
-
-
-def hll_flux(
-    WL: np.ndarray, WR: np.ndarray, eos: GammaLawEOS, iu: int = QU, iv: int = QV, *,
-    ws: Optional[Workspace] = None,
-) -> np.ndarray:
-    """Two-wave HLL flux.
-
-    Takes the same arguments as :func:`hllc_flux`; ``ws`` is accepted
-    and unused, since the temporaries and the result are fresh arrays.
-    """
-    FL = euler_flux(WL, eos, iu, iv)
-    FR = euler_flux(WR, eos, iu, iv)
-    # prim_to_cons puts rho*W[k] in U[k] for both velocity components,
-    # so it serves either normal direction.
-    UL = prim_to_cons(WL, eos)
-    UR = prim_to_cons(WR, eos)
-    SL, SR = wave_speed_estimates(WL, WR, eos, iu)
-    denom = SR - SL
-    denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-    Fmid = (SR * FL - SL * FR + SL * SR * (UR - UL)) / denom
-    F = np.where(SL >= 0.0, FL, np.where(SR <= 0.0, FR, Fmid))
-    return F
 
 
 def _floor_tiny(x: np.ndarray, scratch: np.ndarray, mask: np.ndarray) -> None:

@@ -45,6 +45,12 @@ from .snapshot import SnapshotManager
 
 __all__ = ["ServeReport", "serve_lines", "serve_stream"]
 
+# serve_stream writes a batch in pieces that end at the first line
+# boundary past this much text.  One string per whole batch (hundreds of
+# KB) lands at the top of the heap, where the allocator hands it back to
+# the kernel on free and faults it in again for the next batch.
+_PIECE_CHARS = 32 * 1024
+
 
 @dataclass
 class ServeReport:
@@ -213,13 +219,15 @@ def serve_stream(
     """Serve a JSONL stream end to end (one response line per request).
 
     With ``batch_size`` the stream is answered in chunks, each written
-    with one ``write`` and flushed; indices stay *global* (a response's
-    ``index`` is its request's position in the whole stream), so the
-    output is byte-identical to the unchunked run.  ``deadline_s``
-    budgets each batch; ``snapshots`` saves the warm caches at batch
-    boundaries (after the flush, so the snapshot's ``served`` cursor
-    never runs ahead of durable output); ``skip`` drops the first
-    *skip* request lines — the resume path after a crash restore.
+    in pieces of whole lines (each piece ends at the first line boundary
+    past 32 KiB of text) and flushed once; indices stay *global* (a
+    response's ``index`` is its request's position in the whole
+    stream), so the output is byte-identical to the unchunked run.
+    ``deadline_s`` budgets each batch; ``snapshots`` saves the warm
+    caches at batch boundaries (after the flush, so the snapshot's
+    ``served`` cursor never runs ahead of durable output); ``skip``
+    drops the first *skip* request lines — the resume path after a
+    crash restore.
     """
     report = ServeReport()
     injector = _faults_active()
@@ -237,7 +245,7 @@ def serve_stream(
             deadline=deadline_s, per_request_s=per_request_s, start=base,
         )
         report.merge(batch_report)
-        outfile.write("".join(out))
+        _write_pieces(outfile, out)
         outfile.flush()
         base += len(out)
         batch_no += 1
@@ -251,6 +259,19 @@ def serve_stream(
     if snapshots is not None and snapshots.served != base:
         snapshots.save(served=base)  # final cursor always lands on disk
     return report
+
+
+def _write_pieces(outfile: IO[str], lines: List[str]) -> None:
+    """Write *lines* in order, each piece ending at the first line
+    boundary at or past ``_PIECE_CHARS`` characters."""
+    start = size = 0
+    for end, line in enumerate(lines, 1):
+        size += len(line)
+        if size >= _PIECE_CHARS:
+            outfile.write("".join(lines[start:end]))
+            start, size = end, 0
+    if start < len(lines):
+        outfile.write("".join(lines[start:]))
 
 
 def _chunks(infile: IO[str], batch_size: Optional[int]) -> Iterable[List[str]]:

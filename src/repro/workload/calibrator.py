@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..sim.castro import CastroSim, SimResult
 from ..sim.inputs import CastroInputs
@@ -86,6 +85,10 @@ def fit_coefficients(
     their configured values — they matter only below the scales the
     solver validates.
     """
+    # deferred: scipy is the only third-party import outside numpy, and
+    # only this fit needs it
+    from scipy.optimize import minimize
+
     target = measure_level_cells(solver_result)
     inputs = solver_result.inputs
     nprocs = solver_result.nprocs

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro.sim.castro as castro
+from repro.hydro.state import UEDEN
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,11 +38,20 @@ def load_worker():
     return module
 
 
+def total_energy(sim):
+    """Sum of the total energy density over the valid fine cells."""
+    g = sim._g
+    return float(sim._U[UEDEN, g:-g, g:-g].sum())
+
+
 def run_solver(size):
+    """The workload after its run, its checks, and its total energy
+    before the run."""
     workload = load_worker().SolverSedov(types.SimpleNamespace(tiny=size == "tiny"))
+    energy_before = total_energy(workload.sim)
     workload.run()
     ref = json.loads((PERFBENCH / "reference.json").read_text())[size]["solver_sedov"]
-    return workload, workload.check(ref)
+    return workload, workload.check(ref), energy_before
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +61,8 @@ def tiny_solver_run():
 
 @pytest.fixture(scope="module")
 def full_solver_run():
-    """The full run, plus the cells each ``advance_patch`` call returned."""
+    """The full run, plus the cells each ``advance_patch`` call returned
+    and the total energy before the run."""
     advance = castro.advance_patch
     cells = []
 
@@ -65,8 +76,8 @@ def full_solver_run():
         # site too; the count is of the run's own work
         mp.delenv("REPRO_SANITIZE", raising=False)
         mp.setattr(castro, "advance_patch", counted)
-        workload, out = run_solver("full")
-    return workload, out, cells
+        workload, out, energy_before = run_solver("full")
+    return workload, out, cells, energy_before
 
 
 def assert_checks_pass(out):
@@ -85,6 +96,14 @@ def test_final_state_hash(tiny_solver_run):
 
 def test_full_size_checks_pass(full_solver_run):
     assert_checks_pass(full_solver_run[1])
+
+
+def test_full_size_conserves_total_energy(full_solver_run):
+    # outflow walls with the blast far inside: no energy leaves the
+    # domain, so the drift is rounding only (it reads exactly 0.0)
+    workload, energy_before = full_solver_run[0], full_solver_run[3]
+    drift = abs(total_energy(workload.sim) - energy_before) / energy_before
+    assert drift <= 1e-12, (energy_before.hex(), drift)
 
 
 def test_full_size_final_state_hash(full_solver_run):

@@ -477,22 +477,41 @@ class TestServeLinesContract:
         assert [r["index"] for r in decoded("".join(out))] == [100, 101, 102]
         assert report.n_requests == 3 and report.n_cached == 1
 
-    def test_one_write_and_one_flush_per_batch(self):
+    def test_bounded_writes_and_one_flush_per_batch(self):
+        """Each batch is written as whole-line pieces, each ending at the
+        first line boundary past 32 KiB, then flushed once."""
         class Sink(io.StringIO):
-            writes = flushes = 0
+            def __init__(self):
+                super().__init__()
+                self.batches = [[]]  # the writes between two flushes
 
             def write(self, text):
-                self.writes += 1
+                self.batches[-1].append(text)
                 return super().write(text)
 
             def flush(self):
-                self.flushes += 1
+                self.batches.append([])
 
-        sink = Sink()
-        serve_stream(PredictionService(), io.StringIO(stream(MIXED)), sink,
-                     batch_size=7)
-        n_batches = -(-sum(1 for line in MIXED if line.strip()) // 7)
-        assert sink.writes == sink.flushes == n_batches
+        # ~3 KB per steps=500 answer: one batch holds ~120 KB of text
+        lines = MIXED + [P(nprocs=n, steps=500) for n in range(2, 42)] + MIXED
+        old_out, sink = io.StringIO(), Sink()
+        oracle_serve_stream(PredictionService(), io.StringIO(stream(lines)),
+                            old_out, batch_size=50)
+        serve_stream(PredictionService(), io.StringIO(stream(lines)), sink,
+                     batch_size=50)
+        assert sink.getvalue().encode("utf-8") == old_out.getvalue().encode("utf-8")
+
+        batches = sink.batches[:-1]
+        assert sink.batches[-1] == []  # nothing written after the last flush
+        assert len(batches) == -(-sum(1 for line in lines if line.strip()) // 50)
+        assert max(len(writes) for writes in batches) >= 3
+        bound = 32 * 1024
+        for writes in batches:
+            assert writes and all(w.endswith("\n") for w in writes)
+            for w in writes:  # under the bound until its last line
+                assert w[:-1].rfind("\n") + 1 < bound
+            # only a batch's last piece may stop short of the bound
+            assert all(len(w) >= bound for w in writes[:-1])
 
 
 class TestDeadlineText:
