@@ -43,9 +43,9 @@ from repro.iosim.darshan import IOTrace
 from repro.iosim.filesystem import VirtualFileSystem
 from repro.plotfile.cellh import FabLocation, build_cellh_text
 from repro.plotfile.fab import fab_header
-from repro.plotfile.header import _GRID_BLOCK_CACHE, build_job_info_text
+from repro.plotfile.header import build_job_info_text
 from repro.plotfile.reader import LevelInfo, PlotfileInfo, inspect_plotfile
-from repro.plotfile.writer import PlotfileSpec, clear_plan_cache, write_plotfile
+from repro.plotfile.writer import PlotfileSpec, write_plotfile
 from repro.sim.inputs import CastroInputs
 from repro.workload.generator import SedovWorkloadGenerator
 
@@ -223,11 +223,12 @@ def _run_dump_loop(write_fn, spec, sequence):
     return (fs, trace), time.process_time() - t0
 
 
-def _cold_writer_caches():
-    """Drop the writer's per-layout caches (level plans and the Header's
+def _cold_writer_caches(sequence):
+    """Empty every layout's memo (its level plans and the Header's
     per-box block), so every batched round pays its plan builds."""
-    clear_plan_cache()
-    _GRID_BLOCK_CACHE.clear()
+    for _, bas, _ in sequence:
+        for ba in bas:
+            ba.memo.clear()
 
 
 def _paired(rounds, seed_fn, batched_fn):
@@ -266,7 +267,7 @@ def _bench_size_mode(smoke, rounds):
             total = 0.0
             for _ in range(reps):
                 if cold:
-                    _cold_writer_caches()
+                    _cold_writer_caches(sequence)
                 out, t = _run_dump_loop(write_fn, spec, sequence)
                 total += t
             return out, total / reps

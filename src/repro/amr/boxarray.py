@@ -8,16 +8,13 @@ statistics that feed the I/O accounting (cells per box, cells total).
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .box import Box, bounding_box
+from .box import Box
 
 __all__ = ["BoxArray"]
-
-_token_counter = itertools.count(1)
 
 
 class BoxArray:
@@ -32,12 +29,12 @@ class BoxArray:
 
     def __init__(self, boxes: Iterable[Box] = ()) -> None:
         self._boxes: List[Box] = list(boxes)
-        # Identity token: BoxArrays are immutable after construction, so
-        # a per-instance generation number is a cheap cache key for
-        # layout-derived plans (plotfile dump plans, regrid reuse).
-        # Two arrays with equal boxes still get distinct tokens;
-        # equality of *content* is ``__eq__``.
-        self._token: int = next(_token_counter)
+        # Data derived from the boxes lives as long as the array, like
+        # the ``corners()`` cache (BoxArrays are immutable after
+        # construction).  Each consumer keys its own entries: the
+        # plotfile writer's level plans ``(ranks, nvars)`` and their
+        # sanitizer checksums, and the Header's per-box block ``(geom,)``.
+        self.memo: Dict[tuple, object] = {}
         self._corners: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._numpts: Optional[int] = None
 
@@ -65,19 +62,14 @@ class BoxArray:
     def boxes(self) -> Sequence[Box]:
         return tuple(self._boxes)
 
-    @property
-    def token(self) -> int:
-        """Per-instance identity/generation key for cached plans."""
-        return self._token
-
     def same_boxes(self, other: "BoxArray") -> bool:
         """Content equality with an identity fast path.
 
-        Used by the regrid amortization: comparing tokens first makes
+        Used by the regrid amortization: comparing identity first makes
         the common "layout unchanged, same object threaded through"
         case O(1) instead of an O(n) box-list compare.
         """
-        return self._token == other._token or self._boxes == other._boxes
+        return self is other or self._boxes == other._boxes
 
     # ------------------------------------------------------------------
     # metrics
@@ -114,10 +106,6 @@ class BoxArray:
         los, his = self.corners()
         return (his - los + 1).prod(axis=1)
 
-    def minimal_box(self) -> Box:
-        """Bounding box of the whole array."""
-        return bounding_box(self._boxes)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -142,22 +130,6 @@ class BoxArray:
         Member boxes are assumed disjoint, so overlaps add exactly once.
         """
         return sum(inter.numpts for _, inter in self.intersections(box))
-
-    def contains_box(self, box: Box) -> bool:
-        """True if every cell of ``box`` is covered."""
-        return self.covered_cells(box) == box.numpts
-
-    def complement_in(self, domain: Box) -> List[Box]:
-        """Boxes covering ``domain`` minus this array (disjoint)."""
-        remaining: List[Box] = [domain]
-        for b in self._boxes:
-            nxt: List[Box] = []
-            for piece in remaining:
-                nxt.extend(piece.difference(b))
-            remaining = nxt
-            if not remaining:
-                break
-        return remaining
 
     # ------------------------------------------------------------------
     # transformations

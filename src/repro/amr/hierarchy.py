@@ -73,13 +73,6 @@ class LevelState:
     def ncells(self) -> int:
         return self.boxarray.numpts
 
-    def cells_per_rank(self) -> np.ndarray:
-        out = np.zeros(self.distribution.nprocs, dtype=np.int64)
-        sizes = self.boxarray.box_sizes()
-        for k, r in enumerate(self.distribution.ranks):
-            out[r] += sizes[k]
-        return out
-
 
 class AmrHierarchy:
     """Mesh hierarchy with regridding.
@@ -201,8 +194,8 @@ class AmrHierarchy:
             old = self.levels[lev + 1] if lev + 1 < len(self.levels) else None
             if old is not None and old.boxarray.same_boxes(ba):
                 # Layout unchanged: keep the level (and its distribution)
-                # — the unchanged BoxArray token keeps the plotfile
-                # writer's cached dump plan for this level valid.
+                # — the same BoxArray object carries the plotfile
+                # writer's level plan for this level in its memo.
                 new_levels.append(old)
                 self.regrid_stats["levels_reused"] += 1
                 continue

@@ -20,7 +20,7 @@ from ..iosim.darshan import IOTrace
 from ..iosim.filesystem import FileSystem
 from .header import build_header_text
 from .varlist import STATE_VARS
-from .writer import _check_levels, _level_plan
+from .writer import _check_levels, _write_level_data
 
 __all__ = ["CheckpointSpec", "write_checkpoint", "checkpoint_name"]
 
@@ -69,14 +69,8 @@ def write_checkpoint(
     n = fs.write_text(f"{cdir}/Header", header)
     if trace is not None:
         trace.record(step, -1, 0, n, f"{cdir}/Header", kind="metadata")
-    for lev in range(len(geoms)):
-        ldir = f"{cdir}/Level_{lev}"
-        fs.mkdirs(ldir)
-        # The plotfile writer's cached level plan: one Cell_D per owning
-        # rank, sized by the closed-form per-FAB byte counts.
-        plan = _level_plan(boxarrays[lev], distributions[lev], spec.nvars)
-        paths = [f"{ldir}/{fn}" for fn in plan.fnames]
-        fs.write_many(paths, plan.sizes)
-        if trace is not None and len(plan.ranks):
-            trace.record_batch(step, lev, plan.ranks, plan.sizes, paths, kind="data")
+    # The plotfile writer's per-level data writer: one Cell_D per owning
+    # rank, sized by the closed-form per-FAB byte counts (no Cell_H).
+    for lev, (ba, dm) in enumerate(zip(boxarrays, distributions)):
+        _write_level_data(fs, cdir, step, lev, ba, dm, spec.nvars, trace)
     return cdir

@@ -8,14 +8,15 @@ Fig. 2).
 
 The per-box physical-bounds block — two lines per grid, the bulk of the
 ``Header`` at paper scale — depends only on ``(geometry, boxarray)``:
-it is rendered once from vectorized corner arrays and cached per layout,
-so repeat dumps of an unchanged hierarchy reuse the rendered text.
+it is rendered once from vectorized corner arrays and kept in the
+BoxArray's ``memo`` per geometry, so repeat dumps of an unchanged
+hierarchy reuse the rendered text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..amr.boxarray import BoxArray
 from ..amr.geometry import Geometry
@@ -24,10 +25,6 @@ __all__ = ["build_header_text", "build_job_info_text", "PLOTFILE_VERSION"]
 
 PLOTFILE_VERSION = "HyperCLaw-V1.1"
 
-# (BoxArray.token, Geometry) -> rendered per-box physical-bounds block.
-_GRID_BLOCK_CACHE: Dict[Tuple[int, Geometry], str] = {}
-_GRID_BLOCK_CACHE_MAX = 256
-
 
 def _grid_block(geom: Geometry, ba: BoxArray) -> str:
     """The two ``xlo xhi`` / ``ylo yhi`` lines per box of one level.
@@ -35,8 +32,8 @@ def _grid_block(geom: Geometry, ba: BoxArray) -> str:
     Vectorized over the cached corner arrays; bit-identical to calling
     ``geom.physical_box`` per box (same float expressions, elementwise).
     """
-    key = (ba.token, geom)
-    block = _GRID_BLOCK_CACHE.get(key)
+    key = (geom,)
+    block = ba.memo.get(key)
     if block is None:
         dx, dy = geom.cell_size
         los, his = ba.corners()
@@ -47,9 +44,7 @@ def _grid_block(geom: Geometry, ba: BoxArray) -> str:
         block = "\n".join(
             f"{a} {b}\n{c} {d}" for a, b, c, d in zip(xlo, xhi, ylo, yhi)
         )
-        if len(_GRID_BLOCK_CACHE) >= _GRID_BLOCK_CACHE_MAX:
-            _GRID_BLOCK_CACHE.clear()
-        _GRID_BLOCK_CACHE[key] = block
+        ba.memo[key] = block
     return block
 
 

@@ -12,15 +12,16 @@ per rank, level and step, so the writer works on a
 cells.  All per-level accounting (file sizes, FAB offsets, the rendered
 ``Cell_H``) is produced as a vectorized *level plan* — closed-form
 :func:`~repro.plotfile.fab.fab_nbytes_array` byte counts, owner
-grouping and prefix sums as single array ops — and cached per
-``(BoxArray identity, distribution, nvars)``, so repeat dumps of an
-unchanged layout replay the plan instead of re-deriving it.
+grouping and prefix sums as single array ops — and kept in the level
+BoxArray's ``memo`` per ``(distribution, nvars)``, so repeat dumps of an
+unchanged layout replay the plan instead of re-deriving it, and the plan
+is freed with its layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +41,6 @@ __all__ = [
     "PlotfileSpec",
     "write_plotfile",
     "plotfile_name",
-    "clear_plan_cache",
 ]
 
 
@@ -71,94 +71,63 @@ class PlotfileSpec:
 class _LevelPlan:
     """Vectorized size accounting for one level's N-to-N burst.
 
-    Derived once per ``(BoxArray.token, distribution ranks, nvars)`` and
-    cached: per-FAB on-disk byte counts, owner grouping (which ranks own
-    data, which boxes land in which ``Cell_D`` file at which offset),
-    per-file sizes, and the rendered size-mode ``Cell_H`` text.
+    Derived once per ``(distribution ranks, nvars)`` of a BoxArray and
+    kept in its ``memo``: the ranks that own data, their ``Cell_D`` file
+    names and sizes, and the rendered size-mode ``Cell_H`` text (which
+    places each box's FAB in its owner's file at its byte offset).
     """
 
-    __slots__ = (
-        "ranks",
-        "fnames",
-        "sizes",
-        "nbytes",
-        "offsets",
-        "order",
-        "bounds",
-        "fname_of_box",
-        "cellh",
-    )
+    __slots__ = ("ranks", "fnames", "sizes", "cellh", "__weakref__")
 
     def __init__(self, ba: BoxArray, dm: DistributionMapping, nvars: int) -> None:
         n = len(ba)
         ranks_arr = np.fromiter(dm.ranks, dtype=np.int64, count=n)
         los, his = ba.corners()
-        self.nbytes = frozen(fab_nbytes_array(los, his, ba.box_sizes(), nvars))
+        nbytes = fab_nbytes_array(los, his, ba.box_sizes(), nvars)
         if n == 0:
             self.ranks = frozen(np.empty(0, dtype=np.int64))
             self.fnames: List[str] = []
             self.sizes = frozen(np.empty(0, dtype=np.int64))
-            self.offsets = frozen(np.empty(0, dtype=np.int64))
-            self.order = frozen(np.empty(0, dtype=np.int64))
-            self.bounds = frozen(np.zeros(1, dtype=np.int64))
-            self.fname_of_box: List[str] = []
+            offsets = np.empty(0, dtype=np.int64)
+            fname_of_box: List[str] = []
         else:
             # Stable sort by owner: boxes stay in index order within each
             # rank's file — the same order the per-fab loop produced.
             order = np.argsort(ranks_arr, kind="stable")
-            bsort = self.nbytes[order]
+            bsort = nbytes[order]
             starts = np.cumsum(bsort) - bsort
             uniq, first = np.unique(ranks_arr[order], return_index=True)
             self.ranks = frozen(uniq)
             self.sizes = frozen(np.add.reduceat(bsort, first))
-            self.order = frozen(order)
-            self.bounds = frozen(np.append(first, n).astype(np.int64))
-            counts = np.diff(self.bounds)
+            counts = np.diff(np.append(first, n))
             rel = starts - np.repeat(starts[first], counts)
             offsets = np.empty(n, dtype=np.int64)
             offsets[order] = rel
-            self.offsets = frozen(offsets)
             self.fnames = [f"Cell_D_{int(r):05d}" for r in uniq]
             which = np.searchsorted(uniq, ranks_arr)
-            self.fname_of_box = [self.fnames[i] for i in which.tolist()]
-        self.cellh = build_cellh_arrays(ba, nvars, self.fname_of_box, self.offsets)
-
-
-_PLAN_CACHE: Dict[Tuple[int, Tuple[int, ...], int], _LevelPlan] = {}
-_PLAN_CRC: Dict[Tuple[int, Tuple[int, ...], int], int] = {}
-_PLAN_CACHE_MAX = 256
-
-
-def clear_plan_cache() -> None:
-    """Drop all cached level plans (tests / memory pressure)."""
-    _PLAN_CACHE.clear()
-    _PLAN_CRC.clear()
+            fname_of_box = [self.fnames[i] for i in which.tolist()]
+        self.cellh = build_cellh_arrays(ba, nvars, fname_of_box, offsets)
 
 
 def _plan_fingerprint(plan: _LevelPlan) -> int:
-    """Sanitizer checksum over the replayed parts of a level plan."""
-    return sanitize.checksum((
-        plan.nbytes, plan.ranks, plan.sizes, plan.offsets,
-        plan.order, plan.bounds, plan.fnames, plan.fname_of_box,
-    ))
+    """Sanitizer checksum over the replayed buffers of a level plan."""
+    return sanitize.checksum((plan.ranks, plan.sizes, plan.fnames))
 
 
 def _level_plan(ba: BoxArray, dm: DistributionMapping, nvars: int) -> _LevelPlan:
-    key = (ba.token, dm.ranks, nvars)
-    plan = _PLAN_CACHE.get(key)
+    key = (dm.ranks, nvars)
+    plan = ba.memo.get(key)
     if plan is None:
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            _PLAN_CACHE.clear()
-            _PLAN_CRC.clear()
-        plan = _PLAN_CACHE[key] = _LevelPlan(ba, dm, nvars)
-        if sanitize.enabled():
-            _PLAN_CRC[key] = _plan_fingerprint(plan)
-    elif sanitize.enabled():
-        want = _PLAN_CRC.setdefault(key, _plan_fingerprint(plan))
+        plan = ba.memo[key] = _LevelPlan(ba, dm, nvars)
+    if sanitize.enabled():
+        # The first sanitized dump of a plan records its checksum; every
+        # later one must still match it.
+        crc = _plan_fingerprint(plan)
+        want = ba.memo.setdefault((dm.ranks, nvars, "crc"), crc)
         sanitize.check(
-            _plan_fingerprint(plan) == want,
-            f"cached level plan for key {key} drifted since it was built "
-            "(a consumer mutated a plan buffer)",
+            crc == want,
+            f"level plan for {len(ba)} boxes, nvars {nvars} drifted since "
+            "it was built (a consumer mutated a plan buffer)",
         )
     return plan
 
@@ -178,6 +147,31 @@ def _check_levels(
                 f"distributions[{lev}] maps {len(dm)} boxes but "
                 f"boxarrays[{lev}] holds {len(ba)}"
             )
+
+
+def _write_level_data(
+    fs: FileSystem,
+    root: str,
+    step: int,
+    lev: int,
+    ba: BoxArray,
+    dm: DistributionMapping,
+    nvars: int,
+    trace: Optional[IOTrace],
+) -> Tuple[str, _LevelPlan]:
+    """Write one level's ``Cell_D`` files under ``root/Level_<lev>``.
+
+    The whole level's N-to-N burst is one batched filesystem call
+    replaying the level plan.  Returns the level directory and the plan.
+    """
+    ldir = f"{root}/Level_{lev}"
+    fs.mkdirs(ldir)
+    plan = _level_plan(ba, dm, nvars)
+    paths = [f"{ldir}/{fn}" for fn in plan.fnames]
+    fs.write_many(paths, plan.sizes)
+    if trace is not None and len(plan.ranks):
+        trace.record_batch(step, lev, plan.ranks, plan.sizes, paths, kind="data")
+    return ldir, plan
 
 
 def write_plotfile(
@@ -228,18 +222,8 @@ def write_plotfile(
     # ------------------------------------------------------------------
     # per-level data
     # ------------------------------------------------------------------
-    for lev in range(len(geoms)):
-        ba = boxarrays[lev]
-        dm = distributions[lev]
-        ldir = f"{pdir}/Level_{lev}"
-        fs.mkdirs(ldir)
-        plan = _level_plan(ba, dm, nvars)
-        paths = [f"{ldir}/{fn}" for fn in plan.fnames]
-        # The whole level's N-to-N burst is one batched filesystem call
-        # replaying the cached plan.
-        fs.write_many(paths, plan.sizes)
-        if trace is not None and len(plan.ranks):
-            trace.record_batch(step, lev, plan.ranks, plan.sizes, paths, kind="data")
+    for lev, (ba, dm) in enumerate(zip(boxarrays, distributions)):
+        ldir, plan = _write_level_data(fs, pdir, step, lev, ba, dm, nvars, trace)
         n = fs.write_text(f"{ldir}/Cell_H", plan.cellh)
         if trace is not None:
             trace.record(step, lev, 0, n, f"{ldir}/Cell_H", kind="metadata")

@@ -211,27 +211,29 @@ class CastroInputs:
     @staticmethod
     def from_inputs(inp: InputsFile) -> "CastroInputs":
         """Build from a parsed inputs file, Listing-2 defaults elsewhere."""
+        d = CastroInputs()
         return CastroInputs(
-            max_step=inp.get_int("max_step", 500),
-            stop_time=inp.get_float("stop_time", 0.1),
-            n_cell=inp.get_int_pair("amr.n_cell", (32, 32)),
-            max_level=inp.get_int("amr.max_level", 3),
-            ref_ratio=int(inp.raw("amr.ref_ratio")[0]) if "amr.ref_ratio" in inp else 2,
-            regrid_int=inp.get_int("amr.regrid_int", 2),
-            blocking_factor=inp.get_int("amr.blocking_factor", 8),
-            max_grid_size=inp.get_int("amr.max_grid_size", 256),
-            plot_file=inp.get_str("amr.plot_file", "sedov_2d_cyl_in_cart_plt"),
-            plot_int=inp.get_int("amr.plot_int", 20),
-            check_file=inp.get_str("amr.check_file", "sedov_2d_cyl_in_cart_chk"),
-            check_int=inp.get_int("amr.check_int", 20),
-            derive_plot_vars=inp.get_str("amr.derive_plot_vars", "ALL"),
-            cfl=inp.get_float("castro.cfl", 0.5),
-            init_shrink=inp.get_float("castro.init_shrink", 0.01),
-            change_max=inp.get_float("castro.change_max", 1.1),
-            lo_bc=inp.get_int_pair("castro.lo_bc", (2, 2)),
-            hi_bc=inp.get_int_pair("castro.hi_bc", (2, 2)),
-            prob_lo=inp.get_float_pair("geometry.prob_lo", (0.0, 0.0)),
-            prob_hi=inp.get_float_pair("geometry.prob_hi", (1.0, 1.0)),
+            max_step=inp.get_int("max_step", d.max_step),
+            stop_time=inp.get_float("stop_time", d.stop_time),
+            n_cell=inp.get_int_pair("amr.n_cell", d.n_cell),
+            max_level=inp.get_int("amr.max_level", d.max_level),
+            ref_ratio=(int(inp.raw("amr.ref_ratio")[0])
+                       if "amr.ref_ratio" in inp else d.ref_ratio),
+            regrid_int=inp.get_int("amr.regrid_int", d.regrid_int),
+            blocking_factor=inp.get_int("amr.blocking_factor", d.blocking_factor),
+            max_grid_size=inp.get_int("amr.max_grid_size", d.max_grid_size),
+            plot_file=inp.get_str("amr.plot_file", d.plot_file),
+            plot_int=inp.get_int("amr.plot_int", d.plot_int),
+            check_file=inp.get_str("amr.check_file", d.check_file),
+            check_int=inp.get_int("amr.check_int", d.check_int),
+            derive_plot_vars=inp.get_str("amr.derive_plot_vars", d.derive_plot_vars),
+            cfl=inp.get_float("castro.cfl", d.cfl),
+            init_shrink=inp.get_float("castro.init_shrink", d.init_shrink),
+            change_max=inp.get_float("castro.change_max", d.change_max),
+            lo_bc=inp.get_int_pair("castro.lo_bc", d.lo_bc),
+            hi_bc=inp.get_int_pair("castro.hi_bc", d.hi_bc),
+            prob_lo=inp.get_float_pair("geometry.prob_lo", d.prob_lo),
+            prob_hi=inp.get_float_pair("geometry.prob_hi", d.prob_hi),
         )
 
     @staticmethod

@@ -29,6 +29,10 @@ from ..amr.grid import GridParams, chop_to_max_size
 
 __all__ = ["AnnulusCoefficients", "refined_region_mask", "annulus_boxarray"]
 
+# Largest tile mask annulus_boxarray builds, in entries: the 131072^2
+# sweep mesh's level 3 at tile 256 (~180 MB at ~11 bytes per tile).
+_MAX_MASK_ENTRIES = 4096 * 4096
+
 
 @dataclass(frozen=True)
 class AnnulusCoefficients:
@@ -130,11 +134,11 @@ def annulus_boxarray(
 
     ``tile`` defaults to the blocking factor, doubled while the mask
     has more than 2048^2 entries, the doubled tile is at most
-    ``max_grid_size`` and it still divides the domain.  The mask stays
-    under ~2^22 entries only when such a tile reaches that size: a
-    domain with few factors of two keeps a small tile and a large mask
-    (131064 = 8·16383 cells a side keeps tile 8 and a 16383^2 mask,
-    ~2.9 GB at the ~11 bytes per tile of :func:`refined_region_mask`).
+    ``max_grid_size`` and it still divides the domain.  A domain with
+    few factors of two keeps a small tile and a large mask (131064 =
+    8·16383 cells a side keeps tile 8 and a 16383^2 mask, ~2.9 GB at the
+    ~11 bytes per tile of :func:`refined_region_mask`), so a mask over
+    4096^2 entries is refused with a ``ValueError`` before it is built.
     """
     nx, ny = geom.domain.shape
     if tile is None:
@@ -147,6 +151,11 @@ def annulus_boxarray(
             tile *= 2
     if tile % grid_params.blocking_factor:
         raise ValueError("tile must be a multiple of blocking_factor")
+    if (nx // tile) * (ny // tile) > _MAX_MASK_ENTRIES:
+        raise ValueError(
+            f"tile mask of domain {geom.domain.shape} at tile {tile} has "
+            f"{nx // tile}x{ny // tile} entries, over the limit of 4096^2"
+        )
     mask = refined_region_mask(geom, tile, radius, half_width, core_radius, center)
     if not mask.any():
         return BoxArray()

@@ -139,9 +139,9 @@ class SedovWorkloadGenerator:
         When the layout is unchanged from the previous dump the memoized
         *pair* is returned — the mapping (``make_distribution`` is
         deterministic, so replay is bit-identical to recomputation) and
-        the previous BoxArray object itself, whose stable identity token
-        lets the plotfile writer's per-level plan and header caches hit
-        across dumps instead of re-deriving identical accounting."""
+        the previous BoxArray object itself, whose ``memo`` carries the
+        plotfile writer's level plan and Header block across dumps
+        instead of re-deriving identical accounting."""
         memo = self._dm_memo.get(lev)
         if memo is not None and memo[0].same_boxes(ba):
             return memo

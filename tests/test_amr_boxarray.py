@@ -1,9 +1,6 @@
 """Tests for repro.amr.boxarray."""
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
@@ -29,14 +26,16 @@ class TestContainer:
         assert quad == BoxArray(list(quad.boxes))
         assert quad != BoxArray([quad[0]])
 
+    def test_same_boxes(self, quad):
+        assert quad.same_boxes(quad)
+        assert quad.same_boxes(BoxArray(list(quad.boxes)))
+        assert not quad.same_boxes(BoxArray([quad[0]]))
+
     def test_numpts(self, quad):
         assert quad.numpts == 64
 
     def test_box_sizes(self, quad):
         assert (quad.box_sizes() == 16).all()
-
-    def test_minimal_box(self, quad):
-        assert quad.minimal_box() == Box((0, 0), (7, 7))
 
 
 class TestQueries:
@@ -52,20 +51,10 @@ class TestQueries:
 
     def test_covered_cells_full(self, quad):
         assert quad.covered_cells(Box((0, 0), (7, 7))) == 64
-        assert quad.contains_box(Box((1, 1), (6, 6)))
 
     def test_covered_cells_partial(self, quad):
         probe = Box((6, 6), (9, 9))
         assert quad.covered_cells(probe) == 4
-        assert not quad.contains_box(probe)
-
-    def test_complement_empty_when_covering(self, quad):
-        assert quad.complement_in(Box((0, 0), (7, 7))) == []
-
-    def test_complement_of_partial_cover(self):
-        ba = BoxArray([Box((0, 0), (3, 7))])
-        rest = ba.complement_in(Box((0, 0), (7, 7)))
-        assert sum(b.numpts for b in rest) == 32
 
 
 class TestTransforms:
@@ -92,25 +81,3 @@ class TestValidation:
         with pytest.raises(ValueError, match="not inside"):
             quad.validate_inside(Box((0, 0), (6, 7)))
 
-
-@given(st.dictionaries(
-    st.tuples(st.integers(0, 5), st.integers(0, 5)),
-    st.tuples(st.integers(0, 9), st.integers(0, 9)),
-    min_size=1, max_size=8,
-))
-def test_complement_partitions_domain(cells):
-    """One box per 10x10 lattice cell => disjoint; complement completes
-    the domain."""
-    boxes = [
-        Box((i * 10, j * 10), (i * 10 + s0, j * 10 + s1))
-        for (i, j), (s0, s1) in cells.items()
-    ]
-    ba = BoxArray(boxes)
-    ba.validate_disjoint()
-    domain = Box((0, 0), (59, 59))
-    rest = ba.complement_in(domain)
-    covered = sum(domain.intersection(b).numpts for b in boxes if domain.intersects(b))
-    assert sum(b.numpts for b in rest) == domain.numpts - covered
-    for r in rest:
-        for b in boxes:
-            assert not r.intersects(b)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.amr.box import Box
+from repro.amr.distribution import rank_loads
 from repro.amr.hierarchy import AmrHierarchy, AmrParams
 
 
@@ -105,7 +106,7 @@ class TestAccounting:
         h = AmrHierarchy(p, nprocs=4)
         h.regrid(annulus_tagger(0.4, 0.1))
         for lev in h.levels:
-            per = lev.cells_per_rank()
+            per = rank_loads(lev.boxarray, lev.distribution)
             assert per.sum() == lev.ncells
 
     def test_summary_mentions_levels(self):

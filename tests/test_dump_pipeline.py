@@ -11,6 +11,8 @@ the seed implementations, kept verbatim below:
 """
 
 import re
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,8 @@ from repro.plotfile.reader import (
     inspect_plotfile,
     list_plotfiles,
 )
-from repro.plotfile.writer import PlotfileSpec, clear_plan_cache, write_plotfile
+from repro.plotfile import writer as plotwriter
+from repro.plotfile.writer import PlotfileSpec, write_plotfile
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +216,6 @@ class TestSizeModeEquivalence:
         fs_a = VirtualFileSystem(keep_content=True)
         fs_b = VirtualFileSystem(keep_content=True)
         tr_a, tr_b = IOTrace(), IOTrace()
-        clear_plan_cache()
         for step in (0, 10, 20, 40):
             seed_write_plotfile(fs_a, spec, step, 1e-3 * step, geoms, bas, dms,
                                 trace=tr_a)
@@ -230,7 +232,6 @@ class TestSizeModeEquivalence:
 
     def test_plan_cache_keyed_on_nvars_and_distribution(self):
         geoms, bas, dms = three_level_setup()
-        clear_plan_cache()
         # Same BoxArray objects, different nvars (derive_all) and then a
         # different distribution: each combination must get its own plan.
         for spec in (PlotfileSpec(prefix="p", nprocs=5, derive_all=True),
@@ -247,6 +248,13 @@ class TestSizeModeEquivalence:
         seed_write_plotfile(fs_a, spec, 1, 0.0, geoms, bas, other_dms)
         write_plotfile(fs_b, spec, 1, 0.0, geoms, bas, other_dms)
         assert_equal_trees(fs_a, fs_b)
+        n_all, n_min = (len(PlotfileSpec(derive_all=d).var_names)
+                        for d in (True, False))
+        for ba, dm, odm in zip(bas, dms, other_dms):
+            plans = {k for k, v in ba.memo.items()
+                     if isinstance(v, plotwriter._LevelPlan)}
+            assert plans == {(dm.ranks, n_all), (dm.ranks, n_min),
+                             (odm.ranks, n_all)}
 
     def test_single_rank_and_empty_levels(self):
         g0 = Geometry(Box.cell_centered(16, 16))
@@ -258,7 +266,6 @@ class TestSizeModeEquivalence:
         spec = PlotfileSpec(prefix="plt", nprocs=1)
         fs_a = VirtualFileSystem(keep_content=True)
         fs_b = VirtualFileSystem(keep_content=True)
-        clear_plan_cache()
         seed_write_plotfile(fs_a, spec, 0, 0.0, [g0, g1], [ba0, ba1],
                             [dm0, dm1])
         write_plotfile(fs_b, spec, 0, 0.0, [g0, g1], [ba0, ba1], [dm0, dm1])
@@ -266,6 +273,61 @@ class TestSizeModeEquivalence:
         # the empty level's Cell_H text matches the seed byte-for-byte
         assert fs_a.read_bytes("plt00000/Level_1/Cell_H") == \
             fs_b.read_bytes("plt00000/Level_1/Cell_H")
+
+
+class TestLayoutMemo:
+    """Level plans and Header blocks live in their BoxArray's ``memo``."""
+
+    @pytest.fixture()
+    def plan_builds(self, monkeypatch):
+        """Count level-plan builds the way perfbench's ``plotfile.plan``
+        span does: calls to ``fab_nbytes_array`` through the writer."""
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return fab_nbytes_array(*args)
+
+        monkeypatch.setattr(plotwriter, "fab_nbytes_array", counted)
+        return calls
+
+    def test_plan_built_once_per_layout_across_dumps(self, plan_builds):
+        geoms, bas, dms = three_level_setup()
+        spec = PlotfileSpec(prefix="p", nprocs=5)
+        fs = VirtualFileSystem()
+        for step in range(4):
+            write_plotfile(fs, spec, step, 0.0, geoms, bas, dms)
+        assert len(plan_builds) == len(bas)
+
+    def test_plan_and_header_block_die_with_their_boxarray(self):
+        geoms, bas, dms = three_level_setup()
+        spec = PlotfileSpec(prefix="p", nprocs=5)
+        write_plotfile(VirtualFileSystem(), spec, 0, 0.0, geoms, bas, dms)
+        ba = bas[1]
+        plan = weakref.ref(ba.memo[(dms[1].ranks, len(spec.var_names))])
+        block = ba.memo[(geoms[1],)]
+        refs = sys.getrefcount(block)  # a str takes no weakref
+        assert plan() is not None
+        del ba, bas
+        assert plan() is None
+        assert sys.getrefcount(block) == refs - 1
+
+    def test_content_equal_boxarray_gets_its_own_plan(self, plan_builds):
+        geoms, bas, dms = three_level_setup()
+        twin = BoxArray(bas[1].boxes)
+        assert twin == bas[1] and twin is not bas[1]
+        spec = PlotfileSpec(prefix="p", nprocs=5)
+        fs_a = VirtualFileSystem(keep_content=True)
+        fs_b = VirtualFileSystem(keep_content=True)
+        write_plotfile(fs_a, spec, 0, 0.0, geoms, bas, dms)
+        write_plotfile(fs_b, spec, 0, 0.0, geoms, [bas[0], twin, bas[2]], dms)
+        assert len(plan_builds) == len(bas) + 1
+        key = (dms[1].ranks, len(spec.var_names))
+        assert twin.memo[key] is not bas[1].memo[key]
+        assert_equal_trees(fs_a, fs_b)
+        for p in fs_a.files():
+            if p.endswith(("Header", "Cell_H")):
+                assert fs_a.read_bytes(p) == fs_b.read_bytes(p), p
 
 
 class TestInspectEquivalence:

@@ -37,12 +37,12 @@ class TestRuleCorpus:
     def test_rl001_unkeyed_attribute_read_fires(self, tmp_path):
         bad = """
             class Plans:
-                def get(self, ba, nghost):
-                    key = (ba.token, nghost)
-                    plan = self._plan_cache.get(key)
+                def get(self, ba, dm):
+                    key = (dm.ranks,)
+                    plan = ba.memo.get(key)
                     if plan is None:
-                        plan = [ba.token] * self.nvars
-                        self._plan_cache[key] = plan
+                        plan = [dm.ranks] * self.nvars
+                        ba.memo[key] = plan
                     return plan
             """
         report = run_lint(tmp_path, {"src/repro/x.py": bad}, select={"RL001"})
@@ -52,12 +52,12 @@ class TestRuleCorpus:
     def test_rl001_complete_key_is_clean(self, tmp_path):
         good = """
             class Plans:
-                def get(self, ba, nghost):
-                    key = (ba.token, nghost, self.nvars)
-                    plan = self._plan_cache.get(key)
+                def get(self, ba, dm):
+                    key = (dm.ranks, self.nvars)
+                    plan = ba.memo.get(key)
                     if plan is None:
-                        plan = [ba.token] * self.nvars
-                        self._plan_cache[key] = plan
+                        plan = [dm.ranks] * self.nvars
+                        ba.memo[key] = plan
                     return plan
             """
         report = run_lint(tmp_path, {"src/repro/x.py": good}, select={"RL001"})
@@ -66,10 +66,9 @@ class TestRuleCorpus:
     def test_rl002_unfrozen_cached_array_fires(self, tmp_path):
         bad = """
             import numpy as np
-            _PLAN_CACHE = {}
-            def plan(key, n):
+            def plan(ba, key, n):
                 arr = np.zeros(n)
-                _PLAN_CACHE[key] = arr
+                ba.memo[key] = arr
                 return arr
             """
         report = run_lint(tmp_path, {"src/repro/x.py": bad}, select={"RL002"})
@@ -78,11 +77,10 @@ class TestRuleCorpus:
     def test_rl002_setflags_before_store_is_clean(self, tmp_path):
         good = """
             import numpy as np
-            _PLAN_CACHE = {}
-            def plan(key, n):
+            def plan(ba, key, n):
                 arr = np.zeros(n)
                 arr.setflags(write=False)
-                _PLAN_CACHE[key] = arr
+                ba.memo[key] = arr
                 return arr
             """
         report = run_lint(tmp_path, {"src/repro/x.py": good}, select={"RL002"})

@@ -13,7 +13,7 @@ from repro.amr.distribution import round_robin_map
 from repro.amr.geometry import Geometry
 from repro.iosim.filesystem import VirtualFileSystem
 from repro.plotfile import writer as plotwriter
-from repro.plotfile.writer import PlotfileSpec, clear_plan_cache, write_plotfile
+from repro.plotfile.writer import PlotfileSpec, write_plotfile
 from repro.sanitize import SanitizeError, checksum, freeze_payload, frozen
 from repro.service.lru import LRUCache
 from repro.service.plans import PlatformPlan
@@ -122,36 +122,36 @@ def one_level_dump_args(nprocs=3):
 
 
 class TestWriterPlanCache:
+    @staticmethod
+    def dump_and_plan(fs, spec, geoms, bas, dms):
+        """Write step 0; return the level plan kept in the layout's memo."""
+        write_plotfile(fs, spec, 0, 0.0, geoms, bas, dms)
+        return bas[0].memo[(dms[0].ranks, len(spec.var_names))]
+
     def test_cached_level_plan_arrays_are_read_only(self, unsanitized):
-        clear_plan_cache()
         geoms, bas, dms = one_level_dump_args()
         spec = PlotfileSpec(prefix="plt", nprocs=3)
-        write_plotfile(VirtualFileSystem(), spec, 0, 0.0, geoms, bas, dms)
-        (plan,) = plotwriter._PLAN_CACHE.values()
-        for name in ("nbytes", "ranks", "sizes", "offsets", "order", "bounds"):
+        plan = self.dump_and_plan(VirtualFileSystem(), spec, geoms, bas, dms)
+        assert isinstance(plan, plotwriter._LevelPlan)
+        for name in ("ranks", "sizes"):
             arr = getattr(plan, name)
             assert not arr.flags.writeable, name
 
     def test_mutated_dump_plan_trips_on_replay(self, sanitized):
-        clear_plan_cache()
         geoms, bas, dms = one_level_dump_args()
         spec = PlotfileSpec(prefix="plt", nprocs=3)
         fs = VirtualFileSystem()
-        write_plotfile(fs, spec, 0, 0.0, geoms, bas, dms)
-        (plan,) = plotwriter._PLAN_CACHE.values()
+        plan = self.dump_and_plan(fs, spec, geoms, bas, dms)
         plan.fnames[0] = "Cell_D_99999"  # the arrays are frozen; lists are not
         with pytest.raises(SanitizeError, match="drifted"):
             write_plotfile(fs, spec, 1, 1.0, geoms, bas, dms)
-        clear_plan_cache()
 
     def test_clean_replay_passes_under_sanitize(self, sanitized):
-        clear_plan_cache()
         geoms, bas, dms = one_level_dump_args()
         spec = PlotfileSpec(prefix="plt", nprocs=3)
         fs = VirtualFileSystem()
         write_plotfile(fs, spec, 0, 0.0, geoms, bas, dms)
         write_plotfile(fs, spec, 1, 1.0, geoms, bas, dms)
-        clear_plan_cache()
 
 
 class TestPlatformPlanFreezing:

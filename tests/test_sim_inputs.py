@@ -81,6 +81,12 @@ class TestListing2:
             parse_inputs(DEFAULT_SEDOV_INPUTS)
         )
 
+    def test_empty_inputs_take_the_dataclass_defaults(self):
+        """The field defaults are Listing 2's values, and ``from_inputs``
+        falls back to them for every key an inputs file leaves out."""
+        assert (CastroInputs.from_inputs(parse_inputs(""))
+                == CastroInputs() == CastroInputs.sedov_default())
+
 
 class TestCastroInputs:
     def test_derived_quantities(self):

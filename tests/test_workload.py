@@ -188,6 +188,36 @@ class TestAnnulusBoxArray:
         ba.validate_disjoint()
         ba.validate_inside(geom.domain)
 
+    def test_oversized_tile_mask_refused_before_it_is_built(self):
+        """131064 = 8 * 16383: the default tile stays 8, whose 16383^2
+        mask would take ~2.9 GB; refused by name, allocating nothing."""
+        geom = Geometry(Box.cell_centered(131064, 131064))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"\(131064, 131064\) at tile 8 "
+                               r"has 16383x16383 entries, over the limit of 4096\^2"):
+                annulus_boxarray(geom, 0.3, 0.01, 0.05, GridParams(8, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_largest_shipped_tile_mask_is_allowed(self, monkeypatch):
+        """The 131072^2 sweep mesh's level 3 (1048576^2 cells, tile 256)
+        builds a 4096^2 mask, the limit itself."""
+        import repro.workload.annulus as annulus
+
+        shapes = []
+
+        def no_tags(geom, tile, *args):
+            shapes.append((geom.domain.shape[0] // tile, tile))
+            return np.zeros((1, 1), dtype=bool)
+
+        monkeypatch.setattr(annulus, "refined_region_mask", no_tags)
+        geom = Geometry(Box.cell_centered(1048576, 1048576))
+        assert len(annulus_boxarray(geom, 0.3, 0.01, 0.05, GridParams(8, 256))) == 0
+        assert shapes == [(4096, 256)]
+
     _geom = TestAnnulusMask._geom
 
 

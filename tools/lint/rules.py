@@ -17,9 +17,9 @@ RL010      bounded-service-wait  service I/O loops must consult deadline/breaker
 =========  ====================  =============================================
 
 Every rule is syntactic and intentionally *narrow*: it matches the
-idioms this codebase actually uses (``LRUCache.put``, ``_PLAN_CACHE[key]``,
-``BoxArray.token`` keys, ``setflags(write=False)`` freezing) rather than
-attempting whole-program dataflow.  What the static shapes cannot see —
+idioms this codebase actually uses (``LRUCache.put``, ``ba.memo[key]``
+stores into a layout's own memo, ``setflags(write=False)`` freezing)
+rather than attempting whole-program dataflow.  What the static shapes cannot see —
 aliasing through composite plan objects — is the runtime sanitizer's job
 (``repro.sanitize``, enabled with ``REPRO_SANITIZE=1``).
 """
@@ -110,8 +110,9 @@ class CacheKeyCompleteness(Rule):
     read ``self``/parameter attributes absent from that key tuple.
 
     This is the invariant behind every plan cache in the tree: the
-    dump plan keyed by ``(ba.token, dm.ranks, nvars)``, the service's
-    ``PlatformPlan`` keyed by ``(machine, nprocs)``.  An attribute the
+    level plan stored as ``ba.memo[(dm.ranks, nvars)]`` in its own
+    layout's memo, the service's ``PlatformPlan`` keyed by
+    ``(machine, nprocs)``.  An attribute the
     function reads but does not key means two different inputs can hit
     the same cache slot — silent wrong answers, not a crash.
     """
