@@ -48,7 +48,7 @@ def test_ext_checkpoint_restart_cycle(once, emit):
     for r in trace:
         if r.kind == "data":
             per_rank[r.rank] += r.nbytes
-    nodes = [topo.node_of_rank(r) for r in range(case.nprocs)]
+    nodes = topo.node_map()
     write_s = storage.burst_time(per_rank, nodes)
     restart = restart_read_time(trace, step, case.nprocs, storage, topo)
     # plotfile of the same mesh, for the size comparison

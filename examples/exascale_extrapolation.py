@@ -38,7 +38,7 @@ def run_scale(n: int, nprocs: int, nnodes: int, dumps: int = 3):
     # burst time of the largest dump
     last = max(ev.step for ev in result.outputs)
     per_rank = result.trace.bytes_per_rank(step=last, nprocs=nprocs)
-    nodes = [topo.node_of_rank(r) for r in range(nprocs)]
+    nodes = topo.node_map()
     burst = storage.burst_time(per_rank.tolist(), nodes)
     files = result.trace.file_count(step=last)
     total = result.trace.bytes_per_step()[last]

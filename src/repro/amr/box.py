@@ -89,10 +89,6 @@ class Box:
         return nx * ny
 
     @property
-    def shortside(self) -> int:
-        return min(self.shape)
-
-    @property
     def longside(self) -> int:
         return max(self.shape)
 

@@ -2,7 +2,6 @@
 
 from .burstiness import BurstinessStats, analyze_schedule, duty_cycle, interarrival_cv
 from .compare import (
-    ComparisonRow,
     MachineBurstRow,
     classify_linearity,
     compare_machines,
@@ -24,7 +23,6 @@ __all__ = [
     "analyze_schedule",
     "duty_cycle",
     "interarrival_cv",
-    "ComparisonRow",
     "MachineBurstRow",
     "classify_linearity",
     "compare_machines",

@@ -9,24 +9,17 @@ burst totals across machines without re-running anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..campaign.records import RunRecord
-from ..core.calibration import CalibrationReport
-from ..core.errors import (
-    final_cumulative_error,
-    mean_relative_error,
-    shape_correlation,
-)
-from ..macsio.dump import run_macsio
+from ..core.calibration import ProxyVerification, score_proxy
 from ..macsio.params import MacsioParams
 from ..platform import get_platform
 from .report import format_table, human_bytes
 
 __all__ = [
-    "ComparisonRow",
     "compare_record_to_macsio",
     "classify_linearity",
     "MachineBurstRow",
@@ -36,36 +29,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One curve pair: simulation vs proxy, with summary metrics."""
-
-    name: str
-    sim_step_bytes: Tuple[float, ...]
-    proxy_step_bytes: Tuple[float, ...]
-    mean_rel_error: float
-    final_cum_error: float
-    shape_corr: float
-
-
 def compare_record_to_macsio(
     record: RunRecord, params: MacsioParams, nprocs: Optional[int] = None
-) -> ComparisonRow:
-    """Run MACSio with ``params`` and compare against a recorded run."""
-    nprocs = nprocs or record.nprocs
-    run = run_macsio(params, nprocs)
-    proxy = np.asarray(run.bytes_per_dump, dtype=np.float64)
-    sim = np.asarray(record.step_bytes, dtype=np.float64)
-    n = min(len(proxy), len(sim))
-    proxy, sim = proxy[:n], sim[:n]
-    return ComparisonRow(
-        name=record.name,
-        sim_step_bytes=tuple(sim),
-        proxy_step_bytes=tuple(proxy),
-        mean_rel_error=mean_relative_error(proxy, sim),
-        final_cum_error=final_cumulative_error(proxy, sim),
-        shape_corr=shape_correlation(proxy, sim),
-    )
+) -> ProxyVerification:
+    """Run MACSio with ``params`` and score it against a recorded run."""
+    return score_proxy(params, nprocs or record.nprocs, record.step_bytes)
 
 
 @dataclass(frozen=True)

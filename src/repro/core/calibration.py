@@ -25,7 +25,7 @@ from .part_size import fit_correction_factor, part_size_model
 from .translator import ProxyModel, translate
 from .variables import ModelSeries, build_series
 
-__all__ = ["CalibrationReport", "calibrate_from_result", "verify_proxy"]
+__all__ = ["CalibrationReport", "calibrate_from_result", "score_proxy", "verify_proxy"]
 
 
 @dataclass
@@ -60,7 +60,7 @@ def calibrate_from_result(
     inp = result.inputs
     series = build_series(result.trace, inp.ncells_l0, include_metadata)
     f = fit_correction_factor(
-        series.y_step, inp.n_cell[0], inp.n_cell[1], result.nprocs, reference="first"
+        series.y_step, inp.n_cell[0], inp.n_cell[1], result.nprocs
     )
     growth = calibrate_growth(series.y_step, bounds=growth_bounds)
     # meta_size: what the simulation wrote beyond data payloads, per task
@@ -98,11 +98,14 @@ class ProxyVerification:
     observed_step_bytes: Tuple[float, ...]
 
 
-def verify_proxy(report: CalibrationReport) -> ProxyVerification:
-    """Run the MACSio proxy with the calibrated parameters and compare."""
-    run = run_macsio(report.macsio_params, report.nprocs)
+def score_proxy(
+    params: MacsioParams, nprocs: int, observed_step_bytes: Sequence[float]
+) -> ProxyVerification:
+    """Run the MACSio proxy and score its per-dump bytes against an
+    observed series, both cut to the shorter of the two."""
+    run = run_macsio(params, nprocs)
     model_steps = np.asarray(run.bytes_per_dump, dtype=np.float64)
-    obs = report.series.y_step
+    obs = np.asarray(observed_step_bytes, dtype=np.float64)
     n = min(len(model_steps), len(obs))
     model_steps, obs = model_steps[:n], obs[:n]
     return ProxyVerification(
@@ -112,6 +115,11 @@ def verify_proxy(report: CalibrationReport) -> ProxyVerification:
         macsio_step_bytes=tuple(model_steps),
         observed_step_bytes=tuple(obs),
     )
+
+
+def verify_proxy(report: CalibrationReport) -> ProxyVerification:
+    """Run the MACSio proxy with the calibrated parameters and compare."""
+    return score_proxy(report.macsio_params, report.nprocs, report.series.y_step)
 
 
 __all__.append("ProxyVerification")

@@ -49,9 +49,6 @@ class GrowthTable:
     def __len__(self) -> int:
         return len(self.anchors)
 
-    def cfls(self) -> List[float]:
-        return sorted({c for c, _ in self.anchors})
-
     def levels(self) -> List[int]:
         return sorted({l for _, l in self.anchors})
 

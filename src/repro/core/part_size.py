@@ -41,27 +41,17 @@ def fit_correction_factor(
     nx: int,
     ny: int,
     nprocs: int,
-    reference: str = "first",
 ) -> float:
     """Invert Eq. (3) from observed per-dump totals.
 
     ``part_size * nprocs`` should match a per-dump total; the paper
     anchors the initial data size on the early (pre-growth) dumps, so
-    ``reference='first'`` uses dump 0 and ``'median'``/``'mean'`` use
-    robust aggregates across all dumps.
+    the fit reads dump 0.
     """
     obs = np.asarray(observed_step_bytes, dtype=np.float64)
     if obs.size == 0:
         raise ValueError("no observed dump sizes")
     if (obs < 0).any():
         raise ValueError("dump sizes cannot be negative")
-    if reference == "first":
-        total = float(obs[0])
-    elif reference == "median":
-        total = float(np.median(obs))
-    elif reference == "mean":
-        total = float(obs.mean())
-    else:
-        raise ValueError(f"unknown reference {reference!r}")
-    per_task = total / nprocs
+    per_task = float(obs[0]) / nprocs
     return per_task / (8.0 * nx * ny / nprocs)

@@ -148,8 +148,7 @@ def predict_sizes(
     prediction_burst = None
     if storage is not None:
         if topology is None:
-            topology = (plat.default_topology(nprocs) if plat is not None
-                        else JobTopology.summit_default(nprocs))
+            topology = get_platform(plat).default_topology(nprocs)
         law = EvenSplitLaw(storage, nprocs, topology.node_map())
         prediction_burst = law.burst_seconds(steps)
     return SizePrediction(

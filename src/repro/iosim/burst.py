@@ -9,8 +9,8 @@ the timeline a practitioner would study for burstiness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -66,33 +66,6 @@ class BurstSchedule:
         # The rank->node map is a pure function of the topology; build it
         # once instead of once per add_step.
         self._node_map = topology.node_map()
-
-    @classmethod
-    def for_machine(
-        cls,
-        machine,
-        nprocs: int,
-        compute_time: float = 0.0,
-        nnodes: Optional[int] = None,
-        variability: float = 0.15,
-        seed: int = 12345,
-    ) -> "BurstSchedule":
-        """A schedule on a registered platform (name or Platform).
-
-        Builds the machine's storage model and topology in one call —
-        ``nnodes=None`` uses the platform's default rank packing.
-        """
-        from ..platform import get_platform  # local: avoid import cycle
-
-        p = get_platform(machine)
-        topo = (
-            p.default_topology(nprocs)
-            if nnodes is None
-            else p.topology(nprocs, nnodes)
-        )
-        return cls(
-            p.storage_model(variability=variability, seed=seed), topo, compute_time
-        )
 
     # ------------------------------------------------------------------
     def add_step(self, step: int, bytes_per_rank: Sequence[int]) -> BurstEvent:

@@ -49,12 +49,15 @@ def restart_read_time(
     Reads typically run somewhat faster than writes on GPFS
     (``read_bandwidth_factor``); metadata is read by every rank (the
     Header broadcast pattern).  Without an explicit ``topology`` the
-    ranks are packed with ``machine``'s default layout (summit when
-    unset — the historical behavior).
+    ranks are packed by ``machine``'s
+    :meth:`~repro.platform.Platform.default_topology` (summit when
+    unset).
     """
     if read_bandwidth_factor <= 0:
         raise ValueError("read_bandwidth_factor must be positive")
-    topo = topology or JobTopology.for_machine(nprocs, machine)
+    from ..platform import get_platform  # local: platform imports iosim
+
+    topo = topology or get_platform(machine).default_topology(nprocs)
     per_rank = trace.bytes_per_rank(step=step, nprocs=nprocs, kind="data")
     data_bytes = int(per_rank.sum())
     meta_bytes = trace.bytes_per_step(kind="metadata").get(step, 0)

@@ -19,6 +19,7 @@ from ..iosim.darshan import IOTrace
 from ..iosim.filesystem import FileSystem, VirtualFileSystem
 from ..iosim.storage import StorageModel
 from ..parallel.topology import JobTopology
+from ..platform import get_platform
 from .mesh import MeshPart, build_part, parts_per_rank
 from .miftmpl import (
     data_filename,
@@ -102,7 +103,9 @@ def run_macsio(
     fs:
         Output filesystem (fresh virtual one if omitted).
     storage / topology:
-        When both given, a burst timeline is produced alongside sizes.
+        With ``storage``, a burst timeline is produced alongside sizes;
+        ``topology`` defaults to the default machine's packing
+        (:meth:`~repro.platform.Platform.default_topology`).
     materialize:
         miftmpl only: render real JSON documents instead of modeled
         sizes (slow; for validation tests and examples).
@@ -116,7 +119,7 @@ def run_macsio(
     nparts = parts_per_rank(params.avg_num_parts, nprocs)
     schedule = None
     if storage is not None:
-        topo = topology or JobTopology(nprocs, max(1, nprocs // 2))
+        topo = topology or get_platform().default_topology(nprocs)
         schedule = BurstSchedule(storage, topo, params.compute_time)
     run = MacsioRun(params, nprocs, trace, schedule=schedule)
     files_per_dump = params.files_per_dump(nprocs)

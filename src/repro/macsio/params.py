@@ -9,7 +9,7 @@ way it would drive the real executable.  Sizes accept the real tool's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["MacsioParams", "parse_argv", "parse_size", "format_argv"]
@@ -80,9 +80,6 @@ class MacsioParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite (got {value})")
-
-    def with_growth(self, growth: float) -> "MacsioParams":
-        return replace(self, dataset_growth=growth)
 
     def files_per_dump(self, nprocs: int) -> int:
         """Data files per dump under the configured file mode."""

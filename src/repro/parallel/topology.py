@@ -3,13 +3,14 @@
 The paper's runs use ``jsrun -n nproc`` on Summit nodes (Table III pairs
 nprocs 1–1024 with 1–512 nodes).  The node layout matters for the I/O
 timing model because ranks on one node share injection bandwidth to the
-parallel filesystem.
+parallel filesystem.  This module holds only the value type; the default
+packing of ``nprocs`` ranks is
+:meth:`repro.platform.Platform.default_topology`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -52,32 +53,3 @@ class JobTopology:
         site) avoids an O(nprocs) Python loop per timestep.
         """
         return np.arange(self.nprocs, dtype=np.int64) // self.ranks_per_node
-
-    def ranks_on_node(self, node: int) -> List[int]:
-        rpn = self.ranks_per_node
-        lo = node * rpn
-        hi = min(lo + rpn, self.nprocs)
-        if lo >= self.nprocs:
-            raise ValueError(f"node {node} has no ranks")
-        return list(range(lo, hi))
-
-    @staticmethod
-    def summit_default(nprocs: int, ranks_per_node: int = 2) -> "JobTopology":
-        """Paper-style layout (e.g. 32 tasks on 2 nodes => 16/node; the
-        paper's Table III pairs are reproduced by choosing rpn so that
-        nnodes = ceil(nprocs / rpn))."""
-        nnodes = max(1, -(-nprocs // ranks_per_node))
-        return JobTopology(nprocs, nnodes)
-
-    @staticmethod
-    def for_machine(nprocs: int, machine=None) -> "JobTopology":
-        """Default packing on a registered platform (name or Platform).
-
-        ``None`` resolves to the default machine (summit), whose packing
-        matches :meth:`summit_default`.  Node count is clamped to the
-        machine's size — on a one-node workstation every rank shares the
-        node.
-        """
-        from ..platform import get_platform  # local: platform imports this module
-
-        return get_platform(machine).default_topology(nprocs)

@@ -16,8 +16,9 @@ __all__ = ["SUMMIT_PLATFORM", "FRONTIER_PLATFORM", "BURST_BUFFER_PLATFORM",
 
 # OLCF Summit + Alpine (GPFS): the paper's machine.  2.5 TB/s aggregate
 # over 4608 nodes; ranks on a node share ~12.5 GB/s injection, single
-# streams see ~1.5 GB/s.  default_ranks_per_node=2 mirrors the paper's
-# Table-III pairings (32 tasks on 2 nodes, 1024 on 512).
+# streams see ~1.5 GB/s.  default_ranks_per_node=2 gives the paper's
+# largest Table-III pairing (1024 tasks on 512 nodes); 32 tasks pack onto
+# 16 nodes.
 SUMMIT_PLATFORM = register_platform(Platform(
     name="summit",
     description="OLCF Summit + Alpine (GPFS, shared injection)",

@@ -193,13 +193,11 @@ class Platform:
         return JobTopology(nprocs, nnodes)
 
     def default_topology(self, nprocs: int) -> JobTopology:
-        """Default packing: ``default_ranks_per_node`` ranks per node,
-        clamped to the machine's node count (a workstation keeps every
-        rank on its one node)."""
-        topo = JobTopology.summit_default(nprocs, self.default_ranks_per_node)
-        if topo.nnodes <= self.total_nodes:
-            return topo
-        return JobTopology(nprocs, self.total_nodes)
+        """The one default packing rule: ``default_ranks_per_node`` ranks
+        per node in block order, clamped to the machine's node count (a
+        workstation keeps every rank on its one node)."""
+        nnodes = -(-nprocs // self.default_ranks_per_node)
+        return JobTopology(nprocs, min(nnodes, self.total_nodes))
 
 
 # ----------------------------------------------------------------------

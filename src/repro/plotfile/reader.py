@@ -112,19 +112,14 @@ class PlotfileInfo:
         return out
 
 
-def _step_of(path: str, prefix: str) -> Optional[int]:
-    name = path.rstrip("/").split("/")[-1]
-    if not name.startswith(prefix):
-        return None
-    suffix = name[len(prefix) :]
-    return int(suffix) if suffix.isdigit() else None
-
-
 def list_plotfiles(fs: FileSystem, prefix: str, root: str = "") -> List[Tuple[int, str]]:
     """All ``(step, dir)`` plotfile directories under ``root``, sorted.
 
-    Every file of a plotfile shares its directory path, so component
-    matching runs once per *unique directory*, not once per file.
+    A directory component is a plotfile of ``prefix`` when
+    :func:`_split_plotfile_name` (the split :func:`inspect_plotfile`
+    reads its step with) gives exactly that prefix.  Every file of a
+    plotfile shares its directory path, so component matching runs once
+    per *unique directory*, not once per file.
     """
     dirs: Dict[str, int] = {}
     seen_dirs: set = set()
@@ -135,10 +130,9 @@ def list_plotfiles(fs: FileSystem, prefix: str, root: str = "") -> List[Tuple[in
         seen_dirs.add(d)
         parts = d.split("/") if d else []
         for i, part in enumerate(parts):
-            if part.startswith(prefix):
-                step = _step_of(part, prefix)
-                if step is not None:
-                    dirs["/".join(parts[: i + 1])] = step
+            split = _split_plotfile_name(part)
+            if split is not None and split[0] == prefix:
+                dirs["/".join(parts[: i + 1])] = split[1]
     return sorted(((s, d) for d, s in dirs.items()))
 
 

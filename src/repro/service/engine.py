@@ -57,6 +57,9 @@ from .request import (
 
 __all__ = ["PredictionService"]
 
+# Bound of the plan LRU: one entry per unique ``(machine, nprocs)``.
+PLAN_CACHE_SIZE = 64
+
 
 def _capture(exc: BaseException) -> str:
     """Per-request error text: exception type + message."""
@@ -94,9 +97,10 @@ class PredictionService:
         and finished cases become servable the moment they complete
         (``lookup_many`` tails new entries via ``store.refresh()``
         before each batch — one ``os.stat`` when nothing changed).
-    cache_size / plan_cache_size:
-        Bounds of the prediction LRU (one entry per unique request) and
-        the plan LRU (one entry per unique ``(machine, nprocs)``).
+    cache_size:
+        Bound of the prediction LRU (one entry per unique request) and
+        of the store-key memo; the plan LRU holds
+        :data:`PLAN_CACHE_SIZE` entries.
     breaker:
         The store circuit breaker (a default one is built when omitted).
         ``N`` consecutive store faults — lock timeouts, corruption
@@ -110,7 +114,6 @@ class PredictionService:
         regression: Optional[LinearModel] = None,
         store: Optional[ResultStore] = None,
         cache_size: int = 4096,
-        plan_cache_size: int = 64,
         breaker: Optional[StoreCircuitBreaker] = None,
     ) -> None:
         self.growth_table = growth_table
@@ -118,7 +121,7 @@ class PredictionService:
         self.store = store
         self.breaker = breaker if breaker is not None else StoreCircuitBreaker()
         self._predictions = LRUCache(cache_size)
-        self._plans = LRUCache(plan_cache_size)
+        self._plans = LRUCache(PLAN_CACHE_SIZE)
         self._keys = LRUCache(cache_size)  # case content -> store digest
         self.n_predicted = 0  # predictions computed (cache misses)
         self.n_served = 0  # predict responses answered ok
@@ -390,7 +393,7 @@ class PredictionService:
                     case.machine, extra_token)
         digest = self._keys.get(memo_key)
         if digest is None:
-            # lint: allow-cache-key(store identity is constant for the memo's lifetime — attach_store() clears it)
+            # lint: allow-cache-key(store identity is constant for the memo's lifetime — attach_store() clears it; `extra` is keyed as extra_token, its canonical JSON)
             digest = self.store.key_for(case, extra)
             self._keys.put(memo_key, digest)
         return digest

@@ -403,6 +403,20 @@ class TestPlotfileNameSplit:
         found = list_plotfiles(fs, "sedov2d_plt")
         assert [s for s, _ in found] == [0, 100, 2000]
 
+    def test_list_and_inspect_split_names_alike(self):
+        """A directory lists under the prefix and step inspect reads: a
+        run of fewer than five digits is no plotfile, and a leading-zero
+        run longer than five keeps its extra digits in the prefix."""
+        fs = VirtualFileSystem()
+        for name in ("plt1234", "plt0000123", "plt00123", "plt123456"):
+            fs.write_size(f"{name}/Header", 1)
+        listed = list_plotfiles(fs, "plt")
+        assert listed == [(123, "plt00123"), (123456, "plt123456")]
+        assert list_plotfiles(fs, "plt00") == [(123, "plt0000123")]
+        for step, pdir in listed + list_plotfiles(fs, "plt00"):
+            assert inspect_plotfile(fs, pdir).step == step
+        assert inspect_plotfile(fs, "plt1234").step == -1
+
 
 class TestWorkloadGeneratorUsesPlanCache:
     def test_canonical_layout_reuse(self):

@@ -63,6 +63,42 @@ class TestRuleCorpus:
         report = run_lint(tmp_path, {"src/repro/x.py": good}, select={"RL001"})
         assert report.ok
 
+    def test_rl001_unkeyed_bare_parameter_fires(self, tmp_path):
+        bad = """
+            def level_plan(ba, dm, nvars):
+                key = (dm.ranks,)
+                plan = ba.memo.get(key)
+                if plan is None:
+                    plan = ba.memo[key] = make_plan(ba, dm, nvars)
+                return plan
+            """
+        report = run_lint(tmp_path, {"src/repro/x.py": bad}, select={"RL001"})
+        assert active_rules(report) == ["RL001"]
+        assert [f.message.split("`")[1] for f in report.active] == ["nvars"]
+
+    def test_rl001_bare_parameter_clean_twins(self, tmp_path):
+        # ba owns the memo and self the LRU; nvars and token are keyed;
+        # dm and case have keyed attributes; build is only called
+        good = """
+            def level_plan(ba, dm, nvars, build):
+                key = (dm.ranks, nvars)
+                plan = ba.memo.get(key)
+                if plan is None:
+                    plan = ba.memo[key] = build(ba, dm, nvars)
+                return plan
+
+            class Service:
+                def digest(self, case, token):
+                    memo_key = (case.inputs, token)
+                    out = self._keys.get(memo_key)
+                    if out is None:
+                        out = self.hash(self, case, token)
+                        self._keys.put(memo_key, out)
+                    return out
+            """
+        report = run_lint(tmp_path, {"src/repro/x.py": good}, select={"RL001"})
+        assert report.ok
+
     def test_rl002_unfrozen_cached_array_fires(self, tmp_path):
         bad = """
             import numpy as np

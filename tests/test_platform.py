@@ -4,9 +4,12 @@ summit-equivalence guarantee (default behavior bit-identical to the
 seed's Summit/Alpine constants)."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.compare import (
     compare_machines,
@@ -19,11 +22,15 @@ from repro.campaign.runner import run_case
 from repro.campaign.store import ResultStore, case_key
 from repro.campaign.sweep import sweep_cases
 from repro.core.predictor import predict_sizes
+from repro.iosim.darshan import IOTrace
+from repro.iosim.readmodel import restart_read_time
 from repro.iosim.storage import (
     BurstBufferStorageModel,
     LustreStorageModel,
     StorageModel,
 )
+from repro.macsio.dump import run_macsio
+from repro.macsio.params import MacsioParams
 from repro.parallel.topology import JobTopology
 from repro.platform import (
     PLATFORM_REGISTRY,
@@ -125,7 +132,7 @@ class TestSummitEquivalence:
         b = seed_alpine_storage(variability=0.15, seed=99)
         rng = np.random.default_rng(3)
         for nprocs in (1, 32, 1024):
-            nodes = JobTopology.summit_default(nprocs).node_map()
+            nodes = get_platform("summit").default_topology(nprocs).node_map()
             for _ in range(3):  # sequential bursts share one RNG stream
                 nb = rng.integers(0, 5 * 10**7, size=nprocs)
                 assert a.burst_time(nb, nodes) == b.burst_time(nb, nodes)
@@ -137,12 +144,13 @@ class TestSummitEquivalence:
         assert p.cores_per_node == 42
         assert p.filesystem.aggregate_bandwidth == 2.5e12
 
-    def test_default_topology_matches_summit_default(self):
+    def test_default_topology_packs_two_ranks_per_node(self):
+        # the seed's summit packing: ceil(nprocs / 2) nodes, block order
         for nprocs in (1, 2, 3, 32, 1024):
             assert (
                 get_platform("summit").default_topology(nprocs)
-                == JobTopology.summit_default(nprocs)
-                == JobTopology.for_machine(nprocs)
+                == get_platform(None).default_topology(nprocs)
+                == JobTopology(nprocs, -(-nprocs // 2))
             )
 
     def test_predictor_default_matches_platform_summit(self):
@@ -157,6 +165,50 @@ class TestSummitEquivalence:
         assert np.array_equal(legacy.burst_seconds, via_platform.burst_seconds)
         assert via_platform.machine == "summit"
         assert legacy.machine is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PLATFORM_REGISTRY)), st.integers(1, 20000))
+def test_default_topology_is_the_one_packing_rule(name, nprocs):
+    p = get_platform(name)
+    nm = p.default_topology(nprocs).node_map()
+    occupancy = np.bincount(nm)
+    assert nm.shape == (nprocs,) and nm.min() == 0  # one node per rank
+    assert len(occupancy) <= p.total_nodes
+    assert occupancy.max() <= max(p.default_ranks_per_node,
+                                  -(-nprocs // p.total_nodes))
+    # predict_sizes, restart_read_time and run_macsio pack through it;
+    # the two without a machine argument use the default machine's
+    default_nm = get_platform().default_topology(nprocs).node_map()
+    maps = []
+
+    class Spy:
+        """Stands in for the storage model and for the even-split law:
+        records each node map it is handed and times nothing."""
+
+        metadata_latency, stream_bandwidth = 0.0, 1.0
+
+        def __init__(self, storage=None, nprocs=None, node_map=None):
+            if node_map is not None:  # built as the even-split law
+                maps.append(np.asarray(node_map))
+
+        def burst_time(self, bytes_per_rank, node_of_rank):
+            maps.append(np.asarray(node_of_rank))
+            return 0.0
+
+        def burst_seconds(self, step_bytes):
+            return None
+
+    inputs = CastroInputs(n_cell=(64, 64), max_level=1, max_step=4, plot_int=2,
+                          stop_time=1e9, max_grid_size=32, blocking_factor=8)
+    with mock.patch("repro.core.predictor.EvenSplitLaw", Spy):
+        predict_sizes(inputs, nprocs, platform=name)
+        predict_sizes(inputs, nprocs, storage=StorageModel.ideal())
+    restart_read_time(IOTrace(), 0, nprocs, Spy(), machine=name)
+    run_macsio(MacsioParams(parallel_file_mode="SIF", num_dumps=1), nprocs,
+               storage=Spy())
+    for got, want in zip(maps, (nm, default_nm, nm, default_nm), strict=True):
+        assert np.array_equal(got, want)
 
 
 class TestMaxFractionNodes:

@@ -80,18 +80,19 @@ def _fn_params(fn: ast.AST) -> Set[str]:
     return set(names)
 
 
-def _cache_stores(fn: ast.AST) -> List[Tuple[ast.AST, ast.AST, ast.AST]]:
-    """``(site, key_expr, value_expr)`` of cache insertions in ``fn``:
-    ``<cachey>[key] = value`` subscript stores and ``<cachey>.put(key,
-    value)`` calls, where the container name matches :data:`_CACHEY_RE`."""
-    out: List[Tuple[ast.AST, ast.AST, ast.AST]] = []
+def _cache_stores(fn: ast.AST) -> List[Tuple[ast.AST, str, ast.AST, ast.AST]]:
+    """``(site, container, key_expr, value_expr)`` of cache insertions in
+    ``fn``: ``<cachey>[key] = value`` subscript stores and
+    ``<cachey>.put(key, value)`` calls, where the dotted container name
+    matches :data:`_CACHEY_RE`."""
+    out: List[Tuple[ast.AST, str, ast.AST, ast.AST]] = []
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign):
             for tgt in node.targets:
                 if isinstance(tgt, ast.Subscript):
                     container = dotted_name(tgt.value)
                     if container and _CACHEY_RE.search(container):
-                        out.append((node, tgt.slice, node.value))
+                        out.append((node, container, tgt.slice, node.value))
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -100,21 +101,25 @@ def _cache_stores(fn: ast.AST) -> List[Tuple[ast.AST, ast.AST, ast.AST]]:
         ):
             container = dotted_name(node.func.value)
             if container and _CACHEY_RE.search(container):
-                out.append((node, node.args[0], node.args[1]))
+                out.append((node, container, node.args[0], node.args[1]))
     return out
 
 
 # ----------------------------------------------------------------------
 class CacheKeyCompleteness(Rule):
     """RL001: a function that stores into a tuple-keyed cache must not
-    read ``self``/parameter attributes absent from that key tuple.
+    read ``self``/parameter attributes, or bare parameters, absent from
+    that key tuple.
 
     This is the invariant behind every plan cache in the tree: the
     level plan stored as ``ba.memo[(dm.ranks, nvars)]`` in its own
     layout's memo, the service's ``PlatformPlan`` keyed by
-    ``(machine, nprocs)``.  An attribute the
-    function reads but does not key means two different inputs can hit
-    the same cache slot — silent wrong answers, not a crash.
+    ``(machine, nprocs)``.  An input the function reads but does not
+    key means two different inputs can hit the same cache slot — silent
+    wrong answers, not a crash.  A bare parameter passes when it owns
+    the cache (``ba`` of ``ba.memo``, and ``self``), appears in the key
+    expression, is only called, or has a keyed attribute (``dm`` when
+    ``dm.ranks`` is keyed).
     """
 
     id = "RL001"
@@ -142,8 +147,9 @@ class CacheKeyCompleteness(Rule):
                 tuple_locals[node.targets[0].id] = node.value
 
         key_names: Set[str] = set()
+        owners = {"self"}
         n_tuple_stores = 0
-        for _site, key, _value in _cache_stores(fn):
+        for _site, container, key, _value in _cache_stores(fn):
             kt: Optional[ast.Tuple] = None
             if isinstance(key, ast.Tuple):
                 kt = key
@@ -152,6 +158,7 @@ class CacheKeyCompleteness(Rule):
             if kt is None:
                 continue
             n_tuple_stores += 1
+            owners.add(container.partition(".")[0])
             for el in kt.elts:
                 for sub in ast.walk(el):
                     dn = dotted_name(sub)
@@ -166,17 +173,34 @@ class CacheKeyCompleteness(Rule):
             for node in ast.walk(fn)
             if isinstance(node, ast.Call)
         }
+        attr_bases = {
+            id(node.value) for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+        }
         seen: Set[str] = set()
         for node in ast.walk(fn):
-            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            if isinstance(node, ast.Name):
+                # a bare parameter: passed on whole, so it must be keyed
+                if (
+                    not isinstance(node.ctx, ast.Load)
+                    or id(node) in callee_ids
+                    or id(node) in attr_bases  # an attribute read, checked below
+                    or node.id not in params
+                    or node.id in owners
+                ):
+                    continue
+                dn = rest = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if id(node) in callee_ids:
+                    continue  # the method *name*; its receiver chain is still checked
+                dn = dotted_name(node)
+                if dn is None:
+                    continue
+                base, _, rest = dn.partition(".")
+                if base not in params:
+                    continue
+            else:
                 continue
-            if id(node) in callee_ids:
-                continue  # the method *name*; its receiver chain is still checked
-            dn = dotted_name(node)
-            if dn is None or dn in seen:
-                continue
-            base, _, rest = dn.partition(".")
-            if base not in params:
+            if dn in seen:
                 continue
             if any(
                 dn == k or k.startswith(dn + ".") or dn.startswith(k + ".")
@@ -272,7 +296,7 @@ class CachedBufferImmutability(Rule):
             return
         frozen = self._frozen_targets(fn)
         array_locals = self._array_locals(fn, np_names)
-        for site, _key, value in stores:
+        for site, _container, _key, value in stores:
             if self._is_frozen_expr(value):
                 continue
             bad = self._is_array_expr(value, np_names) or (
